@@ -26,7 +26,7 @@ from .engine import (  # noqa: F401
     snapshot_query,
 )
 from .schema import EventTimeSchema  # noqa: F401
-from .timeline import EventLog, Insert, WatermarkAdvance  # noqa: F401
+from .timeline import EventLog  # noqa: F401
 from .watermark import Watermark  # noqa: F401
 from .windows import (  # noqa: F401
     WEND,

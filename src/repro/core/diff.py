@@ -26,6 +26,13 @@ Key = tuple
 Row = tuple
 
 
+def nulls_first(values: tuple) -> tuple:
+    """Sort key for a key or row tuple that places NULLs (``None``) first,
+    as Spark's ascending order does; other values compare exactly as in
+    plain tuple comparison."""
+    return tuple((v is not None, v) for v in values)
+
+
 def rows_by_key(
     pdf: pd.DataFrame, columns: Sequence[str], key_cols: Sequence[str]
 ) -> Dict[Key, Counter]:
@@ -45,8 +52,8 @@ def rows_by_key(
 def multiset_diff(old: Counter, new: Counter) -> Tuple[List[Row], List[Row]]:
     """``(removed, added)`` between two row multisets, each sorted for
     deterministic emission order."""
-    removed = sorted(((old - new)).elements())
-    added = sorted(((new - old)).elements())
+    removed = sorted((old - new).elements(), key=nulls_first)
+    added = sorted((new - old).elements(), key=nulls_first)
     return removed, added
 
 
@@ -57,24 +64,20 @@ def changelog_rows(
     ptime: pd.Timestamp,
     ver_counters: Dict[Key, int],
     keys: Optional[Iterable[Key]] = None,
-    skip_keys: Optional[set] = None,
 ) -> List[dict]:
     """Diff two keyed result states into changelog entries.
 
     Emits, per key (sorted): undo rows for retractions then rows for
     insertions, stamping each with ``ptime`` and the key's next ``ver``.
     ``keys`` restricts the diff to a subset (watermark finalization emits
-    only the newly-complete groups); ``skip_keys`` suppresses groups that
-    are already finalized (their late changes are dropped, Extension 2).
+    only the newly-complete groups).
 
     ``ver_counters`` is mutated: it carries each group's version sequence
     across the whole run.
     """
     todo = set(old_by_key) | set(new_by_key) if keys is None else set(keys)
-    if skip_keys:
-        todo -= set(skip_keys)
     out: List[dict] = []
-    for key in sorted(todo):
+    for key in sorted(todo, key=nulls_first):
         removed, added = multiset_diff(
             old_by_key.get(key, Counter()), new_by_key.get(key, Counter())
         )
@@ -124,5 +127,5 @@ def integrate_changelog(
                 state[row] -= 1
             else:
                 state[row] += 1
-    rows = sorted(state.elements())
+    rows = sorted(state.elements(), key=nulls_first)
     return pd.DataFrame(rows, columns=list(columns))

@@ -32,14 +32,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from . import diff as D
 from .emit import EmitSpec
-from .timeline import EventLog, Insert, WatermarkAdvance
-from .watermark import Watermark
+from .timeline import PTIME, EventLog
 
 QueryFn = Callable[..., DataFrame]
 
@@ -114,29 +112,6 @@ class TvrEngine:
             raise ValueError("wend_col must be one of key_cols")
         ensure_utc(spark)
 
-    # -- helpers ----------------------------------------------------------
-
-    def _prepare_inputs(self, logs: Mapping[str, EventLog]):
-        """Precompute, per input log: the arrivals frame sorted by ptime
-        (snapshots are prefix slices) and a Spark schema template."""
-        arrivals, schemas, counts = {}, {}, {}
-        for name, log in logs.items():
-            arr = log.arrivals_pdf()
-            full = arr[log.columns]
-            if len(full) == 0:
-                raise ValueError(
-                    f"input log {name!r} has no inserts; cannot infer a Spark schema"
-                )
-            schemas[name] = self.spark.createDataFrame(full).schema
-            arrivals[name] = (arr["ptime"].to_numpy(), full)
-            counts[name] = 0
-        return arrivals, schemas, counts
-
-    def _snapshot_df(self, name, arrivals, schemas, upto_ptime) -> DataFrame:
-        ptimes, full = arrivals[name]
-        k = int(np.searchsorted(ptimes, np.datetime64(pd.Timestamp(upto_ptime)), side="right"))
-        return self.spark.createDataFrame(full.iloc[:k], schema=schemas[name])
-
     # -- the run loop -----------------------------------------------------
 
     def run(
@@ -152,19 +127,19 @@ class TvrEngine:
             logs = {input_name: logs}
         until = None if until is None else pd.Timestamp(until)
 
-        arrivals, schemas, _ = self._prepare_inputs(logs)
+        snapshots = _snapshots(self.spark, logs)
 
-        # Merge all logs' events into one ptime-ordered agenda. Within a
-        # ptime: inserts first (in log order), then watermark advances, so
-        # a batch is fully visible before its closing watermark.
-        agenda: List[tuple] = []
+        # The agenda: every distinct ptime at which some input inserts rows
+        # or advances its watermark. Each log applies its inserts at a ptime
+        # before its watermark advance there.
+        inserted: set = set()
+        advances: Dict[pd.Timestamp, List[tuple]] = defaultdict(list)
         for name, log in logs.items():
-            for i, e in enumerate(log.events):
-                if until is not None and e.ptime > until:
-                    continue
-                kind = 0 if isinstance(e, Insert) else 1
-                agenda.append((e.ptime, kind, name, i, e))
-        agenda.sort(key=lambda x: (x[0], x[1], x[2], x[3]))
+            inserted.update(pd.DatetimeIndex(log.arrivals_pdf(until)[PTIME].unique()))
+            for p, etime in log.watermark().updates:
+                if until is None or p <= until:
+                    advances[p].append((name, etime))
+        agenda = sorted(inserted | set(advances))
 
         # Per-log watermark state; the effective watermark is the pointwise
         # min over watermarked inputs (hold-back, §5).
@@ -218,7 +193,7 @@ class TvrEngine:
 
         ai = 0  # agenda index
         while ai < len(agenda) or timer_heap:
-            next_event_t = agenda[ai][0] if ai < len(agenda) else None
+            next_event_t = agenda[ai] if ai < len(agenda) else None
             next_timer_t = timer_heap[0][0] if timer_heap else None
             if next_event_t is None and next_timer_t is None:
                 break
@@ -229,25 +204,13 @@ class TvrEngine:
             t = min(x for x in (next_event_t, next_timer_t) if x is not None)
             stats["steps"] += 1
 
-            # 1. Apply inserts at t (advance snapshot prefix implicitly) and
-            #    collect watermark advances at t.
-            had_inserts = False
-            wm_advances: List[tuple] = []
-            while ai < len(agenda) and agenda[ai][0] == t:
-                _, kind, name, _, e = agenda[ai]
-                if kind == 0:
-                    had_inserts = True
-                else:
-                    wm_advances.append((name, e.etime))
+            if t == next_event_t:
                 ai += 1
 
-            # 2. Recompute the result relation iff the input changed.
-            if had_inserts:
+            # 1. Recompute the result relation iff the input changed.
+            if t in inserted:
                 stats["recomputes"] += 1
-                dfs = {
-                    n: self._snapshot_df(n, arrivals, schemas, t) for n in logs
-                }
-                res = self.query(self.spark, **dfs)
+                res = self.query(self.spark, **snapshots(t))
                 pdf = res.toPandas()
                 if columns is None:
                     columns = list(pdf.columns)
@@ -272,7 +235,7 @@ class TvrEngine:
                         new.pop(key, None)
                 cur = new
 
-            # 3. Fire delay timers due at t (they see the batch applied at t).
+            # 2. Fire delay timers due at t (they see the batch applied at t).
             if emit.after_delay is not None:
                 while timer_heap and timer_heap[0][0] <= t:
                     ft, key = heapq.heappop(timer_heap)
@@ -282,14 +245,14 @@ class TvrEngine:
                     stats["timer_fires"] += 1
                     emit_key_rows(key, t)
 
-            # 4. Continuous / immediate emissions for changed groups.
+            # 3. Continuous / immediate emissions for changed groups.
             changed = [
                 k
                 for k in set(cur) | set(emitted)
                 if cur.get(k, Counter()) != emitted.get(k, Counter())
             ]
             if emit.continuous:
-                for key in sorted(changed):
+                for key in sorted(changed, key=D.nulls_first):
                     emit_key_rows(key, t)
             elif emit.after_delay is not None:
                 for key in changed:
@@ -301,18 +264,17 @@ class TvrEngine:
                 # Late panes (only reachable with allowed_lateness > 0):
                 # a complete-but-not-frozen group emits late changes
                 # immediately.
-                for key in sorted(changed):
+                for key in sorted(changed, key=D.nulls_first):
                     if key in ontime_done and key not in frozen:
                         emit_key_rows(key, t)
 
-            # 5. Watermark advances: on-time panes, then freezing.
-            if wm_advances:
-                for name, etime in wm_advances:
-                    prev = log_wm.get(name)
-                    log_wm[name] = etime if prev is None else max(prev, etime)
+            # 4. Watermark advances: on-time panes, then freezing.
+            if t in advances:
+                for name, etime in advances[t]:
+                    log_wm[name] = etime
                 wm = current_wm()
                 if wm is not None and self.wend_col is not None:
-                    for key in sorted(seen_keys()):
+                    for key in sorted(seen_keys(), key=D.nulls_first):
                         we = wend_of(key)
                         if we is None or pd.Timestamp(we) > wm:
                             continue
@@ -366,11 +328,24 @@ def snapshot_query(
     if isinstance(logs, EventLog):
         logs = {input_name: logs}
     ensure_utc(spark)
-    dfs = {}
+    return query(spark, **_snapshots(spark, logs)(at))
+
+
+def _snapshots(
+    spark: SparkSession, logs: Mapping[str, EventLog]
+) -> Callable[[object], Dict[str, DataFrame]]:
+    """``at -> {name: snapshot DataFrame}`` over the input logs. Each
+    input's Spark schema is inferred once from all of its inserts, so an
+    empty prefix keeps the same column types."""
+    schemas = {}
     for name, log in logs.items():
         full = log.snapshot_pdf()
         if len(full) == 0:
-            raise ValueError(f"input log {name!r} has no inserts")
-        schema = spark.createDataFrame(full).schema
-        dfs[name] = spark.createDataFrame(log.snapshot_pdf(at), schema=schema)
-    return query(spark, **dfs)
+            raise ValueError(
+                f"input log {name!r} has no inserts; cannot infer a Spark schema"
+            )
+        schemas[name] = spark.createDataFrame(full).schema
+    return lambda at: {
+        name: spark.createDataFrame(log.snapshot_pdf(at), schema=schemas[name])
+        for name, log in logs.items()
+    }

@@ -21,7 +21,7 @@ from __future__ import annotations
 from datetime import timedelta
 from typing import Union
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 Duration = Union[timedelta, int, float]
@@ -131,12 +131,3 @@ def hop(
         .drop("__ws")
     )
 
-
-def window_agg_complete(wend_col: Column, watermark_etime) -> Column:
-    """Boolean column: is the window ending at ``wend_col`` complete under a
-    watermark currently at ``watermark_etime`` (Extension 2)? A window
-    ``[ws, we)`` is complete once wm >= we: any future row has etime > wm
-    >= we and so cannot land in it."""
-    if watermark_etime is None:
-        return F.lit(False)
-    return wend_col <= F.lit(watermark_etime)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from datetime import timedelta
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 import pandas as pd
 from pyspark.sql import SparkSession

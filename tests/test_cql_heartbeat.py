@@ -78,6 +78,17 @@ class TestViolations:
         assert len(violations) == 0
         assert list(released["v"]) == [1]
 
+    def test_inserts_precede_heartbeat_at_same_ptime(self):
+        # Appended after the heartbeat, but applied before it: the log has
+        # one order within a ptime, inserts first.
+        log = EventLog(["etime", "v"], etime_col="etime")
+        log.watermark_to(t(8, 10), t(8, 5))
+        log.insert(t(8, 10), t(8, 4), 1)
+        released, violations, pending = reorder_with_heartbeat(log)
+        assert list(released["v"]) == [1]
+        assert list(released["release_ptime"]) == [t(8, 10)]
+        assert len(violations) == 0 and len(pending) == 0
+
     def test_requires_etime_col(self):
         log = EventLog(["v"])
         log.insert(t(8, 0), 1)

@@ -85,14 +85,6 @@ class TestChangelogRows:
         )
         assert [r["_row"] for r in rows] == [("w1", "A")]
 
-    def test_skip_keys(self):
-        new = {("w1",): Counter({("w1", "A"): 1})}
-        rows = D.changelog_rows(
-            {}, new, ptime=t(8, 0), ver_counters=defaultdict(int),
-            skip_keys={("w1",)},
-        )
-        assert rows == []
-
     def test_no_change_no_rows(self):
         state = {("w1",): Counter({("w1", "A"): 1})}
         rows = D.changelog_rows(
@@ -107,6 +99,32 @@ class TestChangelogRows:
         }
         rows = D.changelog_rows({}, new, ptime=t(8, 0), ver_counters=defaultdict(int))
         assert [r["_row"][0] for r in rows] == ["a", "b"]
+
+
+class TestNullsFirst:
+    def test_null_key_sorts_first(self):
+        # Two keys of one window change in the same step; one has a NULL
+        # item. Plain tuple comparison raises TypeError here.
+        new = {
+            ("w1", "A"): Counter({("w1", "A", 2): 1}),
+            ("w1", None): Counter({("w1", None, 1): 1}),
+        }
+        rows = D.changelog_rows({}, new, ptime=t(8, 0), ver_counters=defaultdict(int))
+        assert [r["_row"] for r in rows] == [("w1", None, 1), ("w1", "A", 2)]
+
+    def test_null_rows_in_diff_and_integration(self):
+        rem, add = D.multiset_diff(Counter(), Counter({("a",): 1, (None,): 1}))
+        assert add == [(None,), ("a",)]
+        chg = pd.DataFrame(
+            [("a", False, t(8, 0), 0), (None, False, t(8, 0), 1)],
+            columns=["v", "undo", "ptime", "ver"],
+        )
+        assert list(D.integrate_changelog(chg, ["v"])["v"]) == [None, "a"]
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("abc")), max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_non_null_order_unchanged(self, rows):
+        assert sorted(rows, key=D.nulls_first) == sorted(rows)
 
 
 class TestChangelogToPdf:

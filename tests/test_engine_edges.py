@@ -4,10 +4,11 @@ from datetime import timedelta
 
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import EmitSpec, TvrEngine, run_query, snapshot_query
 from repro.core.timeline import EventLog
-from repro.core.windows import hop_starts_sql, tumble_end_sql, tumble_start_sql
+from repro.core.windows import hop_starts_sql, tumble, tumble_end_sql, tumble_start_sql
 from repro.nexmark import example as ex
 from repro.nexmark.queries import make_q7
 from tests.helpers import assert_pdf_equal
@@ -105,6 +106,29 @@ class TestDegenerateRuns:
         )
         assert r.emitted_rows() == 0
         assert r.stats["final_watermark"] is None
+
+    def test_null_group_key(self, spark):
+        # Two groups of one window change in the same step, one keyed by a
+        # NULL item: the NULL group is emitted first, as Spark orders it.
+        log = EventLog(["bidtime", "price", "item"], etime_col="bidtime")
+        log.insert(t(8, 5), t(8, 1), 1, "X")
+        log.insert(t(8, 5), t(8, 2), 2, None)
+        log.watermark_to(t(8, 30), t(8, 20))
+
+        def q(spark_, bid):
+            return (
+                tumble(bid, "bidtime", timedelta(minutes=10))
+                .groupBy("wstart", "wend", "item")
+                .agg(F.count(F.lit(1)).alias("n"))
+            )
+
+        for emit in (EmitSpec(stream=True), EmitSpec(stream=True, after_watermark=True)):
+            r = run_query(
+                spark, {"bid": log}, q, emit=emit,
+                key_cols=["wstart", "wend", "item"], wend_col="wend",
+            )
+            assert list(r.changelog["item"]) == [None, "X"]
+            assert list(r.table()["item"]) == [None, "X"]
 
 
 class TestSqlBuilderArithmetic:

@@ -97,12 +97,12 @@ class TestBidEventLog:
                              max_delay=timedelta(minutes=2))
 
     def test_all_rows_present(self, log):
-        assert log.n_inserts() == 800
+        assert len(log.arrivals_pdf()) == 800
 
     def test_watermark_has_no_violations(self, log):
         # The heuristic watermark (boundary - max_delay) must be correct
         # by construction: no insert at or below the in-force watermark.
-        assert log.validate_watermark() == []
+        assert log.validate_watermark().empty
 
     def test_one_watermark_per_batch(self, log):
         assert len(log.watermark().updates) == 10
@@ -135,7 +135,7 @@ class TestPersonsAuctionsCategories:
     def test_stream_event_log_wrapper(self):
         p = persons_pdf(n=100, seed=2)
         log = stream_event_log(p, etime_col="entrytime", n_batches=5)
-        assert log.n_inserts() == 100
+        assert len(log.arrivals_pdf()) == 100
         assert log.etime_col == "entrytime"
         assert len(log.watermark().updates) == 5
-        assert log.validate_watermark() == []
+        assert log.validate_watermark().empty

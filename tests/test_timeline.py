@@ -4,7 +4,8 @@ from datetime import timedelta
 import pandas as pd
 import pytest
 
-from repro.core.timeline import EventLog, Insert, WatermarkAdvance
+from repro.core import snapshot_query
+from repro.core.timeline import EventLog
 from repro.nexmark import example as ex
 
 t = ex.t
@@ -23,12 +24,13 @@ class TestConstruction:
     def test_positional_insert(self):
         log = EventLog(["a", "b"])
         log.insert(t(8, 0), 1, 2)
-        assert log.events == [Insert(t(8, 0), (1, 2))]
+        arr = log.arrivals_pdf()
+        assert list(arr.itertuples(index=False, name=None)) == [(t(8, 0), 1, 2)]
 
     def test_keyword_insert(self):
         log = EventLog(["a", "b"])
         log.insert(t(8, 0), b=2, a=1)
-        assert log.events[0].row == (1, 2)
+        assert list(log.snapshot_pdf().itertuples(index=False, name=None)) == [(1, 2)]
 
     def test_keyword_insert_missing_column(self):
         log = EventLog(["a", "b"])
@@ -88,7 +90,7 @@ class TestSnapshots:
         assert pdf["ptime"].is_monotonic_increasing
 
     def test_snapshot_df_roundtrip(self, spark):
-        df = small_log().snapshot_df(spark)
+        df = snapshot_query(spark, small_log(), lambda spark_, input: input)
         assert df.count() == 3
         assert set(df.columns) == {"etime", "v"}
 
@@ -105,14 +107,14 @@ class TestWatermarkView:
         assert w.at(t(8, 21)) == t(8, 20)
 
     def test_validate_watermark_clean_log(self):
-        assert ex.bid_log().validate_watermark() == []
+        assert ex.bid_log().validate_watermark().empty
 
     def test_validate_watermark_catches_violation(self):
         log = EventLog(["etime", "v"], etime_col="etime")
         log.watermark_to(t(8, 10), t(8, 5))
         log.insert(t(8, 11), t(8, 4), 1)  # etime 8:04 <= wm 8:05
         bad = log.validate_watermark()
-        assert len(bad) == 1 and bad[0].row[1] == 1
+        assert list(bad["v"]) == [1] and list(bad["ptime"]) == [t(8, 11)]
 
 
 class TestPtimes:
@@ -123,11 +125,11 @@ class TestPtimes:
         assert len(ex.bid_log().ptimes()) == 10
 
     def test_end_ptime(self):
-        assert small_log().end_ptime() == t(8, 3)
+        assert small_log().ptimes()[-1] == t(8, 3)
 
     def test_counts(self):
         log = small_log()
-        assert len(log) == 4 and log.n_inserts() == 3
+        assert len(log.events) == 4 and len(log.arrivals_pdf()) == 3
 
 
 class TestFromPandas:
@@ -140,18 +142,20 @@ class TestFromPandas:
             }
         )
         log = EventLog.from_pandas(pdf, ptime_col="ptime", etime_col="etime")
-        assert [e.row[1] for e in log.events] == [10, 20]
+        assert list(log.snapshot_pdf()["v"]) == [10, 20]
 
     def test_watermarks_interleaved_after_inserts(self):
+        # The insert at 8:01 is applied before the watermark advance at
+        # 8:01, so its etime below that watermark is not a violation.
         pdf = pd.DataFrame({"ptime": [t(8, 1)], "etime": [t(8, 0)], "v": [1]})
         log = EventLog.from_pandas(
             pdf,
             ptime_col="ptime",
             etime_col="etime",
-            watermarks=[(t(8, 1), t(8, 0))],
+            watermarks=[(t(8, 1), t(8, 5))],
         )
-        assert isinstance(log.events[0], Insert)
-        assert isinstance(log.events[1], WatermarkAdvance)
+        assert log.validate_watermark().empty
+        assert list(log.events) == [t(8, 1), t(8, 1)]
 
 
 class TestMerge:
@@ -169,8 +173,7 @@ class TestMerge:
         a = self._mk([(t(8, 1), t(8, 0), 1)], [(t(8, 5), t(8, 3))])
         b = self._mk([(t(8, 2), t(8, 1), 2)], [(t(8, 4), t(8, 2))])
         m = a.merge(b)
-        assert m.n_inserts() == 2
-        assert [e.row[1] for e in m.events if isinstance(e, Insert)] == [1, 2]
+        assert list(m.snapshot_pdf()["v"]) == [1, 2]
 
     def test_merge_holds_back_watermark(self):
         a = self._mk([(t(8, 1), t(8, 0), 1)], [(t(8, 5), t(8, 3))])
@@ -192,4 +195,4 @@ class TestMerge:
     def test_merge_preserves_duration(self):
         a = self._mk([(t(8, 1), t(8, 0), 1)], [])
         b = self._mk([(t(8, 9), t(8, 8), 2)], [])
-        assert a.merge(b).end_ptime() == t(8, 9)
+        assert a.merge(b).ptimes()[-1] == t(8, 9)
