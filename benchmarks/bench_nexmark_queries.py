@@ -3,7 +3,6 @@
 disabled (the session fixture forces the shuffle path)."""
 import pytest
 
-from repro.core.engine import ensure_utc
 from repro.nexmark import generator as gen
 from repro.nexmark import queries as Q
 
@@ -12,7 +11,6 @@ N = 600_000
 
 @pytest.fixture(scope="module")
 def tables(spark):
-    ensure_utc(spark)
     bid = spark.createDataFrame(
         gen.bids_pdf(n=N, seed=74).drop(columns=["ptime"])
     ).cache()

@@ -7,7 +7,6 @@ from datetime import timedelta
 
 import pytest
 
-from repro.core.engine import ensure_utc
 from repro.core.windows import hop, tumble
 from repro.nexmark.generator import bids_pdf
 
@@ -16,7 +15,6 @@ N = 600_000
 
 @pytest.fixture(scope="module")
 def bid_df(spark):
-    ensure_utc(spark)
     pdf = bids_pdf(n=N, seed=73).drop(columns=["ptime"])
     df = spark.createDataFrame(pdf)
     df.cache().count()

@@ -1,22 +1,9 @@
-"""Shared plumbing for the table-reproduction jobs: session construction
-(for spark-submit; tests use the conftest fixture instead) and rendering
-of result frames in the paper's listing style (``8:07`` times, ``$5``
-prices, ``undo`` markers)."""
+"""Shared plumbing for the table-reproduction jobs: rendering of result
+frames in the paper's listing style (``8:07`` times, ``$5`` prices,
+``undo`` markers)."""
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
-
-
-def build_session(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "16")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.sql.session.timeZone", "UTC")
-        .getOrCreate()
-    )
 
 
 def _fmt_cell(col: str, v) -> str:

@@ -7,11 +7,12 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-from _common import build_session, show  # noqa: E402
+from _common import show  # noqa: E402
 
 from repro.core import EmitSpec, run_query  # noqa: E402
 from repro.nexmark import example as ex  # noqa: E402
 from repro.nexmark.queries import make_q7  # noqa: E402
+from repro.session import build_session  # noqa: E402
 
 
 def main(spark) -> None:

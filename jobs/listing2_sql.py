@@ -8,9 +8,10 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-from _common import build_session, show, sort_table  # noqa: E402
+from _common import show, sort_table  # noqa: E402
 
 from repro.nexmark import example as ex  # noqa: E402
+from repro.session import build_session  # noqa: E402
 from repro.sqlext import rewrite_extended_sql, run_extended_sql  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))

@@ -5,13 +5,10 @@ CQL, TVF throughput, NEXMark suite throughput.
 Run: ``spark-submit jobs/perf_report.py [--small]`` (``--small`` shrinks
 inputs ~10x for a quick look).
 """
-import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
-from _common import build_session  # noqa: E402
-
-from repro.nexmark import perf  # noqa: E402
+from repro.nexmark import perf
+from repro.session import build_session
 
 
 def main(spark, small: bool = False) -> None:

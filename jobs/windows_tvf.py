@@ -8,20 +8,19 @@ import sys
 from datetime import timedelta
 
 sys.path.insert(0, os.path.dirname(__file__))
-from _common import build_session, show, sort_table  # noqa: E402
+from _common import show, sort_table  # noqa: E402
 
 from pyspark.sql import functions as F  # noqa: E402
 
-from repro.core.engine import ensure_utc  # noqa: E402
 from repro.core.windows import hop, tumble  # noqa: E402
 from repro.nexmark import example as ex  # noqa: E402
+from repro.session import build_session  # noqa: E402
 
 TEN = timedelta(minutes=10)
 FIVE = timedelta(minutes=5)
 
 
 def main(spark) -> None:
-    ensure_utc(spark)
     bid = spark.createDataFrame(ex.bid_log().snapshot_pdf())
 
     tb = tumble(bid, "bidtime", TEN).select(

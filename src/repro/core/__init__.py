@@ -21,11 +21,9 @@ from .emit import (  # noqa: F401
 from .engine import (  # noqa: F401
     StreamResult,
     TvrEngine,
-    ensure_utc,
     run_query,
     snapshot_query,
 )
-from .schema import EventTimeSchema  # noqa: F401
 from .timeline import EventLog  # noqa: F401
 from .watermark import Watermark  # noqa: F401
 from .windows import (  # noqa: F401

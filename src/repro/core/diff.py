@@ -33,18 +33,35 @@ def nulls_first(values: tuple) -> tuple:
     return tuple((v is not None, v) for v in values)
 
 
+def _nan_as_null(pdf: pd.DataFrame) -> pd.DataFrame:
+    """``pdf`` with float NaN replaced by ``None``. ``toPandas`` turns a
+    NULL double into NaN, which never equals itself, so the same result row
+    would differ from one recompute to the next. Frames without NaN are
+    returned as they are."""
+    nan_cols = [
+        c for c in pdf.columns if pdf[c].dtype.kind == "f" and pdf[c].isna().any()
+    ]
+    if not nan_cols:
+        return pdf
+    pdf = pdf.copy()
+    for c in nan_cols:
+        pdf[c] = pdf[c].astype(object).where(pdf[c].notna(), None)
+    return pdf
+
+
 def rows_by_key(
     pdf: pd.DataFrame, columns: Sequence[str], key_cols: Sequence[str]
 ) -> Dict[Key, Counter]:
     """Group a result frame into ``{key_tuple: multiset of full-row tuples}``.
 
-    ``key_cols`` empty means one global group (key ``()``).
+    ``key_cols`` empty means one global group (key ``()``). Float NaN
+    becomes ``None``, a NULL like any other.
     """
     out: Dict[Key, Counter] = defaultdict(Counter)
     if pdf is None or len(pdf) == 0:
         return out
     key_idx = [columns.index(k) for k in key_cols]
-    for row in pdf[list(columns)].itertuples(index=False, name=None):
+    for row in _nan_as_null(pdf[list(columns)]).itertuples(index=False, name=None):
         out[tuple(row[i] for i in key_idx)][row] += 1
     return out
 
@@ -115,11 +132,14 @@ def integrate_changelog(
 ) -> pd.DataFrame:
     """Replay a changelog into the relation it encodes (stream -> table
     duality): apply inserts and undos in order, up to processing time
-    ``at`` inclusive (all of it if None)."""
+    ``at`` inclusive (all of it if None). Float NaN is read as ``None``,
+    as :func:`rows_by_key` wrote it, and a float column comes back as a
+    float column, with NULLs as NaN as ``toPandas`` gives them."""
     state: Counter = Counter()
     if len(changelog):
         sel = changelog if at is None else changelog[changelog[PTIME] <= pd.Timestamp(at)]
-        for rec in sel[list(columns) + [UNDO]].itertuples(index=False, name=None):
+        sel = _nan_as_null(sel[list(columns) + [UNDO]])
+        for rec in sel.itertuples(index=False, name=None):
             row, is_undo = rec[:-1], rec[-1]
             if is_undo:
                 if state[row] <= 0:
@@ -128,4 +148,5 @@ def integrate_changelog(
             else:
                 state[row] += 1
     rows = sorted(state.elements(), key=nulls_first)
-    return pd.DataFrame(rows, columns=list(columns))
+    floats = {c: changelog[c].dtype for c in columns if changelog[c].dtype.kind == "f"}
+    return pd.DataFrame(rows, columns=list(columns)).astype(floats)

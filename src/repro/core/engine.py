@@ -30,22 +30,19 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from functools import reduce
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from ..session import require_utc
 from . import diff as D
 from .emit import EmitSpec
 from .timeline import PTIME, EventLog
+from .watermark import Watermark
 
 QueryFn = Callable[..., DataFrame]
-
-
-def ensure_utc(spark: SparkSession) -> None:
-    """Pin the session timezone so timestamps round-trip deterministically
-    between pandas and Spark regardless of container locale."""
-    spark.conf.set("spark.sql.session.timeZone", "UTC")
 
 
 @dataclass
@@ -110,21 +107,18 @@ class TvrEngine:
         self.wend_col = wend_col
         if wend_col is not None and key_cols is not None and wend_col not in key_cols:
             raise ValueError("wend_col must be one of key_cols")
-        ensure_utc(spark)
 
     # -- the run loop -----------------------------------------------------
 
     def run(
         self,
-        logs: Union[EventLog, Mapping[str, EventLog]],
+        logs: Mapping[str, EventLog],
         emit: EmitSpec = EmitSpec(),
         until=None,
-        input_name: str = "input",
     ) -> StreamResult:
         """Replay the inputs' event timeline up to ``until`` (inclusive;
-        default: end of input) under the given emit spec."""
-        if isinstance(logs, EventLog):
-            logs = {input_name: logs}
+        default: end of input) under the given emit spec. ``logs`` maps
+        each query argument name to its input log."""
         until = None if until is None else pd.Timestamp(until)
 
         snapshots = _snapshots(self.spark, logs)
@@ -133,18 +127,19 @@ class TvrEngine:
         # or advances its watermark. Each log applies its inserts at a ptime
         # before its watermark advance there.
         inserted: set = set()
-        advances: Dict[pd.Timestamp, List[tuple]] = defaultdict(list)
-        for name, log in logs.items():
+        advances: set = set()
+        for log in logs.values():
             inserted.update(pd.DatetimeIndex(log.arrivals_pdf(until)[PTIME].unique()))
-            for p, etime in log.watermark().updates:
-                if until is None or p <= until:
-                    advances[p].append((name, etime))
-        agenda = sorted(inserted | set(advances))
+            advances.update(
+                p for p, _ in log.watermark().updates if until is None or p <= until
+            )
+        agenda = sorted(inserted | advances)
 
-        # Per-log watermark state; the effective watermark is the pointwise
-        # min over watermarked inputs (hold-back, §5).
-        wm_logs = [n for n, l in logs.items() if l.etime_col is not None]
-        log_wm: Dict[str, Optional[pd.Timestamp]] = {n: None for n in wm_logs}
+        # The effective watermark is the pointwise min over the watermarked
+        # inputs (hold-back, §5).
+        marks = [log.watermark() for log in logs.values() if log.etime_col is not None]
+        effective = reduce(Watermark.combine_min, marks) if marks else Watermark()
+        wm: Optional[pd.Timestamp] = None
 
         # Engine state.
         columns: Optional[List[str]] = None
@@ -171,12 +166,6 @@ class TvrEngine:
             if self.wend_col is None or key_cols is None:
                 return None
             return key[key_cols.index(self.wend_col)]
-
-        def current_wm() -> Optional[pd.Timestamp]:
-            vals = [log_wm[n] for n in wm_logs]
-            if not vals or any(v is None for v in vals):
-                return None
-            return min(vals)
 
         def emit_key_rows(key: tuple, ptime: pd.Timestamp) -> None:
             """Materialize key's pending diff (emitted -> cur) at ptime."""
@@ -270,9 +259,7 @@ class TvrEngine:
 
             # 4. Watermark advances: on-time panes, then freezing.
             if t in advances:
-                for name, etime in advances[t]:
-                    log_wm[name] = etime
-                wm = current_wm()
+                wm = effective.at(t)
                 if wm is not None and self.wend_col is not None:
                     for key in sorted(seen_keys(), key=D.nulls_first):
                         we = wend_of(key)
@@ -292,7 +279,7 @@ class TvrEngine:
             stats["max_live_groups"] = max(stats["max_live_groups"], live)
 
         stats["final_live_groups"] = len(seen_keys() - set(frozen))
-        stats["final_watermark"] = current_wm()
+        stats["final_watermark"] = wm
         if columns is None:
             columns = []
         changelog = D.changelog_to_pdf(entries, columns)
@@ -301,7 +288,7 @@ class TvrEngine:
 
 def run_query(
     spark: SparkSession,
-    logs: Union[EventLog, Mapping[str, EventLog]],
+    logs: Mapping[str, EventLog],
     query: QueryFn,
     *,
     emit: EmitSpec = EmitSpec(),
@@ -316,18 +303,14 @@ def run_query(
 
 def snapshot_query(
     spark: SparkSession,
-    logs: Union[EventLog, Mapping[str, EventLog]],
+    logs: Mapping[str, EventLog],
     query: QueryFn,
     at=None,
-    input_name: str = "input",
 ) -> DataFrame:
     """Classic instantaneous-view semantics: run the query once over the
     inputs' snapshots at processing time ``at`` — no completeness
     reasoning, no late-drop. This is the point-in-time baseline the engine's
     continuous table view is tested against (they agree absent late data)."""
-    if isinstance(logs, EventLog):
-        logs = {input_name: logs}
-    ensure_utc(spark)
     return query(spark, **_snapshots(spark, logs)(at))
 
 
@@ -337,6 +320,7 @@ def _snapshots(
     """``at -> {name: snapshot DataFrame}`` over the input logs. Each
     input's Spark schema is inferred once from all of its inserts, so an
     empty prefix keeps the same column types."""
+    require_utc(spark)
     schemas = {}
     for name, log in logs.items():
         full = log.snapshot_pdf()

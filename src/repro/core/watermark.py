@@ -75,15 +75,6 @@ class Watermark:
         i = bisect.bisect_right(ptimes, ptime)
         return self.updates[i - 1][1] if i else None
 
-    def is_complete(self, etime, at) -> bool:
-        """True iff input is complete up to ``etime`` at processing time
-        ``at`` — i.e. the watermark has reached or passed ``etime``."""
-        wm = self.at(at)
-        return wm is not None and wm >= pd.Timestamp(etime)
-
-    def ptimes(self) -> list:
-        return [p for p, _ in self.updates]
-
     @staticmethod
     def combine_min(a: "Watermark", b: "Watermark") -> "Watermark":
         """Pointwise-minimum of two watermarks (multi-attribute hold-back).

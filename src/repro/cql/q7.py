@@ -23,8 +23,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from ..core.engine import ensure_utc
 from ..core.timeline import EventLog
+from ..session import require_utc
 from .heartbeat import reorder_with_heartbeat
 from .relations import TAU, range_slide_history
 
@@ -41,7 +41,7 @@ def cql_q7(
     """Evaluate CQL Q7 over a bid log; returns a frame with columns
     ``wend`` (the evaluation instant tau), ``price``, ``item`` and
     ``ptime`` (when the answer materialized), sorted by (wend, item)."""
-    ensure_utc(spark)
+    require_utc(spark)
     released, _violations, _pending = reorder_with_heartbeat(log, until=until)
     etime = log.etime_col
     out_cols = ["wend", price_col, item_col, "ptime"]

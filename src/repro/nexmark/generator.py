@@ -146,13 +146,6 @@ def auctions_pdf(
     )
 
 
-def categories_pdf(n: int = 20) -> pd.DataFrame:
-    """The static Category table."""
-    return pd.DataFrame(
-        {"id": np.arange(1, n + 1), "name": [f"category_{i}" for i in range(1, n + 1)]}
-    )
-
-
 def batch_watermarks(
     pdf: pd.DataFrame,
     *,
@@ -196,17 +189,18 @@ def bid_event_log(
 ) -> EventLog:
     """A ready-to-run Bid :class:`EventLog`: generated stream, micro-batch
     quantized arrivals, per-batch heuristic watermarks."""
-    pdf = bids_pdf(n=n, seed=seed, max_delay=max_delay, **kw)
-    batched, wms = batch_watermarks(pdf, n_batches=n_batches, max_delay=max_delay)
-    return EventLog.from_pandas(
-        batched, ptime_col="ptime", etime_col=etime_col, watermarks=wms
+    return stream_event_log(
+        bids_pdf(n=n, seed=seed, max_delay=max_delay, **kw),
+        etime_col=etime_col,
+        n_batches=n_batches,
+        max_delay=max_delay,
     )
 
 
 def stream_event_log(
     pdf: pd.DataFrame,
     *,
-    etime_col: str,
+    etime_col: Optional[str],
     n_batches: int = 10,
     max_delay: timedelta = timedelta(0),
 ) -> EventLog:

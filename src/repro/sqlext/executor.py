@@ -7,11 +7,10 @@ evaluate it continuously over the inputs' scripted timelines.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..core.emit import EmitSpec
 from ..core.engine import StreamResult, TvrEngine
 from ..core.timeline import EventLog
 from .parser import split_emit
@@ -34,28 +33,20 @@ def sql_query_fn(core_sql: str):
 def run_extended_sql(
     spark: SparkSession,
     sql: str,
-    logs: Union[EventLog, Mapping[str, EventLog]],
+    logs: Mapping[str, EventLog],
     *,
-    key_cols: Optional[Sequence[str]] = None,
-    wend_col: Optional[str] = None,
     until=None,
-    emit_override: Optional[EmitSpec] = None,
 ) -> StreamResult:
-    """Run an extended-dialect query over the given event logs.
-
-    The EMIT clause in the text decides materialization unless
-    ``emit_override`` is given (used by jobs that print several views of
-    one query). ``key_cols``/``wend_col`` declare the result's event-time
-    grouping, defaulting to (wstart, wend)/wend when the query uses a
-    windowing TVF.
-    """
+    """Run an extended-dialect query over the given event logs, keyed by
+    the table names the query reads. The EMIT clause decides
+    materialization; a query with a windowing TVF groups its result by
+    (wstart, wend), complete once the watermark passes wend."""
     core, emit = split_emit(sql)
     rewritten, calls = rewrite_extended_sql(core)
-    if calls and key_cols is None:
-        key_cols = ["wstart", "wend"]
-    if calls and wend_col is None:
-        wend_col = "wend"
     engine = TvrEngine(
-        spark, sql_query_fn(rewritten), key_cols=key_cols, wend_col=wend_col
+        spark,
+        sql_query_fn(rewritten),
+        key_cols=["wstart", "wend"] if calls else None,
+        wend_col="wend" if calls else None,
     )
-    return engine.run(logs, emit=emit_override or emit, until=until)
+    return engine.run(logs, emit=emit, until=until)

@@ -5,7 +5,6 @@ from datetime import timedelta
 import pandas as pd
 import pytest
 
-from repro.core.engine import ensure_utc
 from repro.cql.operators import dstream, istream, rstream
 from repro.cql.relations import TAU, range_slide_history
 from repro.nexmark import example as ex
@@ -19,7 +18,6 @@ FIVE = timedelta(minutes=5)
 
 @pytest.fixture(scope="module")
 def bid_df(spark):
-    ensure_utc(spark)
     return spark.createDataFrame(ex.bid_log().snapshot_pdf())
 
 
@@ -49,7 +47,6 @@ class TestRangeSlide:
         assert a_taus == [t(8, 10), t(8, 15)]
 
     def test_boundary_timestamp_belongs_to_closing_instant(self, spark):
-        ensure_utc(spark)
         df = spark.createDataFrame(
             pd.DataFrame({"bidtime": [t(8, 10)], "v": [1]})
         )
@@ -100,7 +97,6 @@ class TestIstream:
         assert got["A"] == t(8, 10)  # A visible at 8:10 and 8:15
 
     def test_multiplicity_increase(self, spark):
-        ensure_utc(spark)
         hist = spark.createDataFrame(
             pd.DataFrame({TAU: [t(8, 0), t(8, 5), t(8, 5)], "v": [1, 1, 1]})
         )

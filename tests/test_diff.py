@@ -127,6 +127,35 @@ class TestNullsFirst:
         assert sorted(rows, key=D.nulls_first) == sorted(rows)
 
 
+class TestNanValues:
+    """``toPandas`` collects a NULL double as NaN, which never equals
+    itself; the differ reads it as ``None``."""
+
+    @staticmethod
+    def result():
+        return pd.DataFrame({"k": [1, 1, 2], "v": [float("nan"), 2.0, 3.0]})
+
+    def test_recompute_of_nan_row_is_no_change(self):
+        old = D.rows_by_key(self.result(), ["k", "v"], ["k"])
+        new = D.rows_by_key(self.result(), ["k", "v"], ["k"])
+        assert old == new
+        assert old[(1,)] == Counter({(1, None): 1, (1, 2.0): 1})
+        rows = D.changelog_rows(old, new, ptime=t(8, 1), ver_counters=defaultdict(int))
+        assert rows == []
+
+    def test_nan_row_integrates_and_undoes(self):
+        cols = ["k", "v"]
+        ver = defaultdict(int)
+        state = D.rows_by_key(self.result(), cols, ["k"])
+        log = pd.concat([
+            D.changelog_to_pdf(D.changelog_rows({}, state, ptime=t(8, 1), ver_counters=ver), cols),
+            D.changelog_to_pdf(D.changelog_rows(state, {}, ptime=t(8, 2), ver_counters=ver), cols),
+        ], ignore_index=True)
+        table = D.integrate_changelog(log, cols, at=t(8, 1))
+        assert table["v"].isna().tolist() == [True, False, False]
+        assert len(D.integrate_changelog(log, cols)) == 0
+
+
 class TestChangelogToPdf:
     def test_renders_metadata_columns(self):
         rows = [{"_row": (1, "x"), D.UNDO: False, D.PTIME: t(8, 0), D.VER: 0}]

@@ -9,31 +9,25 @@ from pyspark.sql import functions as F
 from repro.core import EmitSpec, TvrEngine, run_query, snapshot_query
 from repro.core.timeline import EventLog
 from repro.core.windows import hop_starts_sql, tumble, tumble_end_sql, tumble_start_sql
+from repro.cql import cql_q7
 from repro.nexmark import example as ex
 from repro.nexmark.queries import make_q7
-from tests.helpers import assert_pdf_equal
 
 t = ex.t
 
 
 class TestConvenienceEntryPoints:
     def test_single_log_positional(self, spark):
-        """run_query accepts a bare EventLog (named ``input`` for the
-        query callable)."""
+        """run_query hands each log to the query callable under its key."""
 
         def q(spark_, input):
             return input.select("item", "price")
 
-        r = run_query(spark, ex.bid_log(), q, emit=EmitSpec(stream=True))
+        r = run_query(spark, {"input": ex.bid_log()}, q, emit=EmitSpec(stream=True))
         assert r.emitted_rows() == 6
 
-    def test_single_log_custom_name(self, spark):
-        eng = TvrEngine(spark, make_q7(), key_cols=["wstart", "wend"], wend_col="wend")
-        r = eng.run(ex.bid_log(), emit=EmitSpec(stream=True), input_name="bid")
-        assert_pdf_equal(r.changelog, ex.LISTING_9)
-
     def test_snapshot_query_single_log(self, spark):
-        df = snapshot_query(spark, ex.bid_log(), lambda s, input: input)
+        df = snapshot_query(spark, {"input": ex.bid_log()}, lambda s, input: input)
         assert df.count() == 6
 
 
@@ -50,7 +44,7 @@ class TestErrorPaths:
 
         eng = TvrEngine(spark, q, wend_col="wend")
         with pytest.raises(ValueError, match="wend_col"):
-            eng.run(ex.bid_log(), emit=EmitSpec(stream=True))
+            eng.run({"input": ex.bid_log()}, emit=EmitSpec(stream=True))
 
     def test_empty_log_rejected(self, spark):
         empty = EventLog(["etime", "v"], etime_col="etime")
@@ -61,6 +55,22 @@ class TestErrorPaths:
         empty = EventLog(["v"])
         with pytest.raises(ValueError, match="no inserts"):
             snapshot_query(spark, {"x": empty}, lambda s, x: x)
+
+
+    def test_non_utc_session_rejected(self, spark):
+        """The engine converts pandas timestamps to Spark and back, so it
+        refuses a session whose time zone would shift them."""
+        spark.conf.set("spark.sql.session.timeZone", "America/New_York")
+        try:
+            for call in (
+                lambda: run_query(spark, {"bid": ex.bid_log()}, make_q7()),
+                lambda: snapshot_query(spark, {"bid": ex.bid_log()}, make_q7()),
+                lambda: cql_q7(spark, ex.bid_log()),
+            ):
+                with pytest.raises(ValueError, match="build_session"):
+                    call()
+        finally:
+            spark.conf.set("spark.sql.session.timeZone", "UTC")
 
 
 class TestDegenerateRuns:

@@ -40,7 +40,22 @@ def q_distinct_items(spark, bid):
     return tumble(bid, "bidtime", TEN).select("wstart", "wend", "item").distinct()
 
 
-QUERIES = {"count": q_count, "sum": q_sum, "distinct": q_distinct_items}
+def q_last_minute_avg(spark, bid):
+    """Mean price of the bids in each window's last minute: NULL (NaN once
+    collected) while a window has none."""
+    w = tumble(bid, "bidtime", TEN)
+    last_minute = F.col("bidtime") >= F.col("wend") - F.expr("INTERVAL 1 MINUTE")
+    return w.groupBy("wstart", "wend").agg(
+        F.avg(F.when(last_minute, F.col("price"))).alias("last_minute_avg")
+    )
+
+
+QUERIES = {
+    "count": q_count,
+    "sum": q_sum,
+    "distinct": q_distinct_items,
+    "last_minute_avg": q_last_minute_avg,
+}
 
 
 @pytest.mark.parametrize("qname", list(QUERIES))

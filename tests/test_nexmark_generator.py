@@ -11,7 +11,6 @@ from repro.nexmark.generator import (
     batch_watermarks,
     bid_event_log,
     bids_pdf,
-    categories_pdf,
     persons_pdf,
     stream_event_log,
 )
@@ -127,10 +126,6 @@ class TestPersonsAuctionsCategories:
         ]
         assert (a["expires"] >= a["atime"]).all()
         assert a["seller"].between(1, 200).all()
-
-    def test_categories_static_table(self):
-        c = categories_pdf(12)
-        assert len(c) == 12 and c["id"].is_unique
 
     def test_stream_event_log_wrapper(self):
         p = persons_pdf(n=100, seed=2)

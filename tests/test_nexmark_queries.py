@@ -1,11 +1,11 @@
 """NEXMark query suite: table-mode correctness against the DuckDB oracle
-on generated snapshots, plus streaming behaviour spot checks."""
+on generated snapshots, the oracle's own failure modes, plus streaming
+behaviour spot checks."""
 from datetime import timedelta
 
 import pytest
 
 from repro.core import EmitSpec, run_query, snapshot_query
-from repro.core.engine import ensure_utc
 from repro.nexmark import generator as gen
 from repro.nexmark import queries as Q
 from repro.oracle import assert_equivalent
@@ -14,21 +14,18 @@ from tests.helpers import assert_pdf_equal
 
 @pytest.fixture(scope="module")
 def bids(spark):
-    ensure_utc(spark)
     pdf = gen.bids_pdf(n=4000, seed=17).drop(columns=["ptime"])
     return spark.createDataFrame(pdf), pdf
 
 
 @pytest.fixture(scope="module")
 def people(spark):
-    ensure_utc(spark)
     pdf = gen.persons_pdf(n=400, seed=18).drop(columns=["ptime"])
     return spark.createDataFrame(pdf), pdf
 
 
 @pytest.fixture(scope="module")
 def auctions(spark):
-    ensure_utc(spark)
     pdf = gen.auctions_pdf(n=600, n_sellers=400, seed=19).drop(columns=["ptime"])
     return spark.createDataFrame(pdf), pdf
 
@@ -117,6 +114,27 @@ class TestQ8NewUsers:
         assert len(out) == len(out.drop_duplicates())
 
 
+class TestOracleFailureModes:
+    def test_oracle_catches_wrong_result(self, spark, bids):
+        df, pdf = bids
+        got = df.groupBy("item").count().withColumnRenamed("count", "n")
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                got,
+                # Off-by-one oracle: deliberately wrong.
+                "SELECT item, COUNT(*) + 1 AS n FROM bid GROUP BY item",
+                bid=pdf,
+            )
+
+    def test_oracle_catches_column_mismatch(self, spark, bids):
+        df, pdf = bids
+        got = df.groupBy("item").count()
+        with pytest.raises(AssertionError, match="column mismatch"):
+            assert_equivalent(
+                got, "SELECT item, COUNT(*) AS n FROM bid GROUP BY item", bid=pdf
+            )
+
+
 class TestStreamingQ8MultiInput:
     """Q8 through the engine with two watermarked inputs — exercises the
     multi-input watermark hold-back (min) path."""
@@ -127,19 +145,21 @@ class TestStreamingQ8MultiInput:
         aa = gen.auctions_pdf(
             n=150, n_sellers=120, seed=22, duration=timedelta(minutes=40)
         )
-        person_log = gen.stream_event_log(pp, etime_col="entrytime", n_batches=4)
-        auction_log = gen.stream_event_log(aa, etime_col="atime", n_batches=5)
+        logs = {
+            "person": gen.stream_event_log(pp, etime_col="entrytime", n_batches=4),
+            "auction": gen.stream_event_log(aa, etime_col="atime", n_batches=5),
+        }
         return run_query(
             spark,
-            {"person": person_log, "auction": auction_log},
+            logs,
             Q.make_q8(timedelta(minutes=20)),
             emit=EmitSpec(stream=True, after_watermark=True),
             key_cols=["wstart", "wend"],
             wend_col="wend",
-        ), (pp, aa)
+        ), (pp, aa), logs
 
     def test_final_table_matches_batch_answer(self, spark, run):
-        r, (pp, aa) = run
+        r, (pp, aa), _ = run
         batch = Q.make_q8(timedelta(minutes=20))(
             spark,
             spark.createDataFrame(pp.drop(columns=["ptime"])),
@@ -157,11 +177,12 @@ class TestStreamingQ8MultiInput:
         )
 
     def test_combined_watermark_is_min(self, run):
-        r, _ = run
-        assert r.stats["final_watermark"] is not None
+        r, _, logs = run
+        last = [log.watermark().updates[-1][1] for log in logs.values()]
+        assert r.stats["final_watermark"] == min(last)
 
     def test_changelog_append_only(self, run):
-        r, _ = run
+        r, _, _ = run
         assert not r.changelog["undo"].any()
 
 

@@ -120,15 +120,3 @@ class TestDialectMatchesDataFrameApi:
         )
         assert_pdf_equal(via_sql, via_df, ordered=False)
 
-
-class TestEmitOverride:
-    def test_override_replaces_text_spec(self, spark, logs):
-        from repro.core import EmitSpec
-
-        r = run_extended_sql(
-            spark,
-            LISTING_2_SQL + " EMIT STREAM",
-            logs,
-            emit_override=EmitSpec(stream=True, after_watermark=True),
-        )
-        assert_pdf_equal(r.changelog, ex.LISTING_13)

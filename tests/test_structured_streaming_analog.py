@@ -18,7 +18,6 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import EmitSpec, run_query
-from repro.core.engine import ensure_utc
 from repro.nexmark import example as ex
 from repro.nexmark.queries import make_tumble_max
 
@@ -28,7 +27,6 @@ t = ex.t
 @pytest.fixture(scope="module")
 def ss_result(spark):
     """Run the Structured Streaming job once; yield the append-mode rows."""
-    ensure_utc(spark)
     in_dir = tempfile.mkdtemp(prefix="ss_in_")
     ckpt = tempfile.mkdtemp(prefix="ss_ckpt_")
     schema = "bidtime TIMESTAMP, price BIGINT, item STRING"

@@ -90,7 +90,7 @@ class TestSnapshots:
         assert pdf["ptime"].is_monotonic_increasing
 
     def test_snapshot_df_roundtrip(self, spark):
-        df = snapshot_query(spark, small_log(), lambda spark_, input: input)
+        df = snapshot_query(spark, {"input": small_log()}, lambda spark_, input: input)
         assert df.count() == 3
         assert set(df.columns) == {"etime", "v"}
 

@@ -83,20 +83,6 @@ class TestAt:
         assert Watermark().at(ts(100)) is None
 
 
-class TestIsComplete:
-    def test_complete_when_wm_at_bound(self):
-        w = wm((16, 12))
-        assert w.is_complete(ts(10), at=ts(16))
-
-    def test_incomplete_before_advance(self):
-        w = wm((16, 12))
-        assert not w.is_complete(ts(10), at=ts(15))
-
-    def test_incomplete_beyond_wm(self):
-        w = wm((16, 12))
-        assert not w.is_complete(ts(20), at=ts(16))
-
-
 class TestCombineMin:
     def test_min_of_two(self):
         a, b = wm((7, 5), (14, 10)), wm((8, 6), (12, 8))

@@ -5,7 +5,6 @@ from datetime import timedelta
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.engine import ensure_utc
 from repro.core.windows import hop
 from repro.nexmark import example as ex
 from repro.nexmark.generator import bids_pdf
@@ -20,13 +19,11 @@ FIVE = timedelta(minutes=5)
 
 @pytest.fixture(scope="module")
 def bid_df(spark):
-    ensure_utc(spark)
     return spark.createDataFrame(ex.bid_log().snapshot_pdf())
 
 
 @pytest.fixture(scope="module")
 def gen_df(spark):
-    ensure_utc(spark)
     pdf = bids_pdf(n=1500, seed=5)
     return spark.createDataFrame(pdf.drop(columns=["ptime"])), pdf
 
@@ -97,7 +94,6 @@ class TestMultiplicity:
 class TestGaps:
     def test_gap_windows_drop_rows(self, spark):
         """hopsize > dur leaves gaps: rows in a gap appear in no window."""
-        ensure_utc(spark)
         pdf = ex.bid_log().snapshot_pdf()
         df = spark.createDataFrame(pdf)
         # Windows of 2 min every 10 min: [8:00,8:02), [8:10,8:12), [8:20..
@@ -106,7 +102,6 @@ class TestGaps:
         assert out.iloc[0]["wstart"] == t(8, 10)
 
     def test_all_rows_dropped_when_everything_in_gaps(self, spark):
-        ensure_utc(spark)
         pdf = ex.bid_log().snapshot_pdf()
         pdf = pdf[pdf["item"] == "A"]  # 8:07 only
         df = spark.createDataFrame(pdf)

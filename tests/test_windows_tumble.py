@@ -6,7 +6,6 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.engine import ensure_utc
 from repro.core.windows import tumble
 from repro.nexmark import example as ex
 from repro.nexmark.generator import bids_pdf
@@ -19,13 +18,11 @@ TEN = timedelta(minutes=10)
 
 @pytest.fixture(scope="module")
 def bid_df(spark):
-    ensure_utc(spark)
     return spark.createDataFrame(ex.bid_log().snapshot_pdf())
 
 
 @pytest.fixture(scope="module")
 def gen_df(spark):
-    ensure_utc(spark)
     pdf = bids_pdf(n=2000, seed=3)
     return spark.createDataFrame(pdf.drop(columns=["ptime"])), pdf
 
