@@ -5,7 +5,8 @@ a deterministic micro-batch evaluator for continuous queries over
 time-varying relations. For every processing-time step in the scripted
 input timeline it
 
-1. materializes each input TVR's snapshot as a Spark DataFrame,
+1. takes each input TVR's snapshot as the prefix ``ptime <= t`` of its
+   arrivals, which are shipped to Spark once per run and pinned there,
 2. runs the user's relational query through Catalyst,
 3. diffs the collected result against the previous state per event-time
    group (``repro.core.diff``), and
@@ -29,9 +30,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -120,9 +122,10 @@ class TvrEngine:
         default: end of input) under the given emit spec. ``logs`` maps
         each query argument name to its input log."""
         until = None if until is None else pd.Timestamp(until)
+        with _snapshots(self.spark, logs) as snapshots:
+            return self._replay(snapshots, logs, emit, until)
 
-        snapshots = _snapshots(self.spark, logs)
-
+    def _replay(self, snapshots, logs, emit, until) -> StreamResult:
         # The agenda: every distinct ptime at which some input inserts rows
         # or advances its watermark. Each log applies its inserts at a ptime
         # before its watermark advance there.
@@ -149,6 +152,7 @@ class TvrEngine:
         ver: Dict[tuple, int] = defaultdict(int)
         ontime_done: set = set()
         frozen: Dict[tuple, Counter] = {}
+        live: set = set()  # groups seen and not frozen
         timers: Dict[tuple, pd.Timestamp] = {}
         timer_heap: List[tuple] = []
         entries: List[dict] = []
@@ -162,11 +166,6 @@ class TvrEngine:
             "timer_fires": 0,
         }
 
-        def wend_of(key: tuple):
-            if self.wend_col is None or key_cols is None:
-                return None
-            return key[key_cols.index(self.wend_col)]
-
         def emit_key_rows(key: tuple, ptime: pd.Timestamp) -> None:
             """Materialize key's pending diff (emitted -> cur) at ptime."""
             new_state = {key: cur.get(key, Counter())}
@@ -177,8 +176,12 @@ class TvrEngine:
             stats["emitted_rows"] += len(rows)
             emitted[key] = Counter(cur.get(key, Counter()))
 
-        def seen_keys() -> set:
-            return set(cur) | set(emitted) | set(frozen)
+        def passed(key: tuple, lateness=pd.Timedelta(0)) -> bool:
+            """Whether the watermark in force has passed key's wend + lateness."""
+            if wm is None or self.wend_col is None:
+                return False
+            we = key[key_cols.index(self.wend_col)]
+            return we is not None and pd.Timestamp(we) + lateness <= wm
 
         ai = 0  # agenda index
         while ai < len(agenda) or timer_heap:
@@ -210,6 +213,14 @@ class TvrEngine:
                             f"wend_col {self.wend_col!r} not in key columns {key_cols}"
                         )
                 new = D.rows_by_key(pdf, columns, key_cols)
+                # A group first seen after the watermark passed its end gets
+                # no on-time pane; past allowed lateness all its rows drop.
+                for key in new.keys() - ontime_done:
+                    if passed(key):
+                        ontime_done.add(key)
+                        if passed(key, emit.allowed_lateness):
+                            frozen[key] = Counter()
+                            stats["finalized_groups"] += 1
                 # Frozen groups: pin their value; count suppressed changes.
                 for key, pinned in frozen.items():
                     incoming = new.get(key, Counter())
@@ -234,11 +245,12 @@ class TvrEngine:
                     stats["timer_fires"] += 1
                     emit_key_rows(key, t)
 
-            # 3. Continuous / immediate emissions for changed groups.
+            # 3. Continuous / immediate emissions for changed groups. A
+            # frozen group has no change left to emit: its pinned value is
+            # emitted or waits on its pending timer.
+            live = (cur.keys() | emitted.keys()) - frozen.keys()
             changed = [
-                k
-                for k in set(cur) | set(emitted)
-                if cur.get(k, Counter()) != emitted.get(k, Counter())
+                k for k in live if cur.get(k, Counter()) != emitted.get(k, Counter())
             ]
             if emit.continuous:
                 for key in sorted(changed, key=D.nulls_first):
@@ -261,9 +273,8 @@ class TvrEngine:
             if t in advances:
                 wm = effective.at(t)
                 if wm is not None and self.wend_col is not None:
-                    for key in sorted(seen_keys(), key=D.nulls_first):
-                        we = wend_of(key)
-                        if we is None or pd.Timestamp(we) > wm:
+                    for key in sorted(live, key=D.nulls_first):
+                        if not passed(key):
                             continue
                         if key not in ontime_done:
                             ontime_done.add(key)
@@ -271,14 +282,14 @@ class TvrEngine:
                                 emit_key_rows(key, t)
                                 # On-time pane supersedes a pending early pane.
                                 timers.pop(key, None)
-                        if key not in frozen and pd.Timestamp(we) + emit.allowed_lateness <= wm:
+                        if passed(key, emit.allowed_lateness):
                             frozen[key] = Counter(cur.get(key, Counter()))
                             stats["finalized_groups"] += 1
+                            live.discard(key)
 
-            live = len(seen_keys() - set(frozen))
-            stats["max_live_groups"] = max(stats["max_live_groups"], live)
+            stats["max_live_groups"] = max(stats["max_live_groups"], len(live))
 
-        stats["final_live_groups"] = len(seen_keys() - set(frozen))
+        stats["final_live_groups"] = len(live)
         stats["final_watermark"] = wm
         if columns is None:
             columns = []
@@ -310,26 +321,43 @@ def snapshot_query(
     """Classic instantaneous-view semantics: run the query once over the
     inputs' snapshots at processing time ``at`` — no completeness
     reasoning, no late-drop. This is the point-in-time baseline the engine's
-    continuous table view is tested against (they agree absent late data)."""
-    return query(spark, **_snapshots(spark, logs)(at))
+    continuous table view is tested against (they agree absent late data).
+    The result is collected before the inputs are released from Spark."""
+    with _snapshots(spark, logs) as snapshots:
+        res = query(spark, **snapshots(at))
+        return spark.createDataFrame(res.toPandas(), schema=res.schema)
 
 
+@contextmanager
 def _snapshots(
     spark: SparkSession, logs: Mapping[str, EventLog]
-) -> Callable[[object], Dict[str, DataFrame]]:
-    """``at -> {name: snapshot DataFrame}`` over the input logs. Each
-    input's Spark schema is inferred once from all of its inserts, so an
-    empty prefix keeps the same column types."""
+) -> Iterator[Callable[[object], Dict[str, DataFrame]]]:
+    """Yield ``at -> {name: snapshot DataFrame}``: the prefix ``ptime <= at``
+    of each input's arrivals (a TVR is one relation per ptime, §3.1). Each
+    input is shipped once, ``ptime`` as int64 ns and its schema inferred from
+    all of its inserts, and pinned by ``localCheckpoint``, so steps scan it
+    instead of a ``LocalRelation`` that Catalyst evaluates on the driver and
+    every task re-ships. The pin is lazy: the first step's job stores the
+    blocks, which saves a job per run. The pins are released on exit, also
+    on error."""
     require_utc(spark)
-    schemas = {}
-    for name, log in logs.items():
-        full = log.snapshot_pdf()
-        if len(full) == 0:
-            raise ValueError(
-                f"input log {name!r} has no inserts; cannot infer a Spark schema"
-            )
-        schemas[name] = spark.createDataFrame(full).schema
-    return lambda at: {
-        name: spark.createDataFrame(log.snapshot_pdf(at), schema=schemas[name])
-        for name, log in logs.items()
-    }
+    pinned: Dict[str, DataFrame] = {}
+    try:
+        for name, log in logs.items():
+            arrivals = log.arrivals_pdf()
+            if len(arrivals) == 0:
+                raise ValueError(
+                    f"input log {name!r} has no inserts; cannot infer a Spark schema"
+                )
+            arrivals[PTIME] = arrivals[PTIME].to_numpy("datetime64[ns]").view("int64")
+            pinned[name] = spark.createDataFrame(arrivals).localCheckpoint(eager=False)
+
+        def snapshot(name: str, at) -> DataFrame:
+            # A SQL string: a first pyspark.sql.functions call loads ~500 modules.
+            keep = "true" if at is None else f"{PTIME} <= {pd.Timestamp(at).value}"
+            return pinned[name].where(keep).select(*logs[name].columns)
+
+        yield lambda at: {name: snapshot(name, at) for name in pinned}
+    finally:
+        for df in pinned.values():
+            df._jdf.queryExecution().analyzed().rdd().unpersist(False)

@@ -44,6 +44,8 @@ class EventLog:
 
     def __init__(self, columns: Sequence[str], etime_col: Optional[str] = None):
         self.columns = list(columns)
+        if PTIME in self.columns:
+            raise ValueError(f"payload column {PTIME!r} is reserved for the arrival time")
         if etime_col is not None and etime_col not in self.columns:
             raise ValueError(f"etime_col {etime_col!r} not in columns {columns}")
         self.etime_col = etime_col

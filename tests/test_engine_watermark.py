@@ -3,9 +3,11 @@ gating, late-data dropping, allowed lateness, and state release."""
 from datetime import timedelta
 
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import EmitSpec, run_query
 from repro.core.timeline import EventLog
+from repro.core.windows import tumble
 from repro.nexmark import example as ex
 from repro.nexmark.queries import make_q7
 from tests.helpers import assert_pdf_equal
@@ -106,6 +108,50 @@ class TestLateDataDropped:
         )
         assert_pdf_equal(r.table(), ex.LISTING_3, ordered=False)
         assert r.stats["dropped_late_rows"] > 0
+
+
+class TestLateOnlyGroups:
+    """A group whose every row arrives after the watermark passed its end is
+    late as a whole: it gets no on-time pane, and past allowed lateness its
+    rows are dropped, as for a late row into a group seen before."""
+
+    @staticmethod
+    def _log() -> EventLog:
+        log = EventLog(ex.BID_COLUMNS, etime_col="bidtime")
+        log.insert(t(8, 12), t(8, 11), 3, "B")
+        log.watermark_to(t(8, 16), t(8, 12))
+        log.insert(t(8, 19), t(8, 5), 9, "L")  # only row of [8:00, 8:10)
+        log.watermark_to(t(8, 21), t(8, 20))
+        return log
+
+    @staticmethod
+    def _run(spark, emit):
+        def q_count(spark_, bid):
+            return tumble(bid, "bidtime", timedelta(minutes=10)).groupBy(
+                "wstart", "wend"
+            ).agg(F.count(F.lit(1)).alias("n"))
+
+        return run_query(spark, {"bid": TestLateOnlyGroups._log()}, q_count, emit=emit, **KW)
+
+    @pytest.mark.parametrize("after_watermark", [False, True])
+    def test_dropped(self, spark, after_watermark):
+        r = self._run(spark, EmitSpec(stream=True, after_watermark=after_watermark))
+        chg = r.changelog
+        assert list(chg["wstart"]) == [t(8, 10)] and list(chg["n"]) == [1]
+        assert list(chg["ptime"]) == [t(8, 21) if after_watermark else t(8, 12)]
+        assert r.stats["dropped_late_rows"] == 1
+        assert r.stats["final_live_groups"] == 0
+
+    def test_late_pane_within_lateness(self, spark):
+        """Within allowed lateness the group emits at once as a late pane,
+        not as an on-time pane at the next watermark advance."""
+        r = self._run(spark, EmitSpec(
+            stream=True, after_watermark=True, allowed_lateness=timedelta(minutes=10),
+        ))
+        chg = r.changelog
+        assert list(chg["wstart"]) == [t(8, 0), t(8, 10)]
+        assert list(chg["ptime"]) == [t(8, 19), t(8, 21)]
+        assert r.stats["dropped_late_rows"] == 0
 
 
 class TestAllowedLateness:

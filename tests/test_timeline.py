@@ -63,6 +63,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="etime_col"):
             log.watermark_to(t(8, 0), t(8, 0))
 
+    def test_ptime_payload_column_rejected(self):
+        with pytest.raises(ValueError, match="'ptime'"):
+            EventLog(["ptime", "x"])
+        pdf = pd.DataFrame({"arrival": [t(8, 0)], "ptime": [1], "x": [2]})
+        with pytest.raises(ValueError, match="'ptime'"):
+            EventLog.from_pandas(pdf, ptime_col="arrival")
+
     def test_bad_etime_col(self):
         with pytest.raises(ValueError, match="not in columns"):
             EventLog(["a"], etime_col="b")
