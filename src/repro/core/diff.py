@@ -50,19 +50,34 @@ def _nan_as_null(pdf: pd.DataFrame) -> pd.DataFrame:
 
 
 def rows_by_key(
-    pdf: pd.DataFrame, columns: Sequence[str], key_cols: Sequence[str]
+    pdf: pd.DataFrame,
+    columns: Sequence[str],
+    key_cols: Sequence[str],
+    prev: Optional[pd.DataFrame] = None,
 ) -> Dict[Key, Counter]:
-    """Group a result frame into ``{key_tuple: multiset of full-row tuples}``.
+    """The change from result frame ``prev`` (default: none) to ``pdf``,
+    grouped as ``{key_tuple: Counter(full-row tuple -> signed count)}``.
 
-    ``key_cols`` empty means one global group (key ``()``). Float NaN
-    becomes ``None``, a NULL like any other.
+    Only rows whose count changed appear, so only changed groups do. This
+    is the differentiation step of DBSP (Budiu et al., VLDB 2023), in one
+    vectorized pass: the rows of both frames, signed +1 and -1, are summed
+    per distinct row. ``key_cols`` empty means one global group (key
+    ``()``). Float NaN becomes ``None``, a NULL like any other.
     """
     out: Dict[Key, Counter] = defaultdict(Counter)
-    if pdf is None or len(pdf) == 0:
+    frames = [f[list(columns)] for f in (pdf, prev) if f is not None and len(f)]
+    if not frames:
         return out
+    both = _nan_as_null(pd.concat(frames, ignore_index=True))
+    n_new = 0 if pdf is None else len(pdf)
+    sign = pd.Series([1] * n_new + [-1] * (len(both) - n_new))
+    counts = sign.groupby(
+        [both[c] for c in columns], dropna=False, sort=False
+    ).transform("sum")
+    changed = (counts != 0) & ~both.duplicated()
     key_idx = [columns.index(k) for k in key_cols]
-    for row in _nan_as_null(pdf[list(columns)]).itertuples(index=False, name=None):
-        out[tuple(row[i] for i in key_idx)][row] += 1
+    for row, n in zip(both[changed].itertuples(index=False, name=None), counts[changed]):
+        out[tuple(row[i] for i in key_idx)][row] = n
     return out
 
 
@@ -86,8 +101,8 @@ def changelog_rows(
 
     Emits, per key (sorted): undo rows for retractions then rows for
     insertions, stamping each with ``ptime`` and the key's next ``ver``.
-    ``keys`` restricts the diff to a subset (watermark finalization emits
-    only the newly-complete groups).
+    ``keys`` restricts the diff to a subset (the engine materializes one
+    group at a time).
 
     ``ver_counters`` is mutated: it carries each group's version sequence
     across the whole run.

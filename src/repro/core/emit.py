@@ -58,30 +58,3 @@ class EmitSpec:
         """True when neither delay nor watermark gating applies — the
         result materializes instantaneously (classic view semantics)."""
         return not self.after_watermark and self.after_delay is None
-
-    def describe(self) -> str:
-        parts = ["EMIT"]
-        if self.stream:
-            parts.append("STREAM")
-        gates = []
-        if self.after_delay is not None:
-            secs = int(self.after_delay.total_seconds())
-            gates.append(f"AFTER DELAY INTERVAL '{secs}' SECOND")
-        if self.after_watermark:
-            gates.append("AFTER WATERMARK")
-        if gates:
-            parts.append(" AND ".join(gates))
-        return " ".join(parts) if len(parts) > 1 else "EMIT (continuous table)"
-
-
-#: Instantaneous-view table semantics (no EMIT clause at all).
-TABLE_DEFAULT = EmitSpec()
-
-#: ``EMIT STREAM`` — the full changelog, continuously.
-STREAM = EmitSpec(stream=True)
-
-#: ``EMIT AFTER WATERMARK`` — complete rows only, as a table.
-TABLE_AFTER_WATERMARK = EmitSpec(after_watermark=True)
-
-#: ``EMIT STREAM AFTER WATERMARK`` — one final pane per group.
-STREAM_AFTER_WATERMARK = EmitSpec(stream=True, after_watermark=True)

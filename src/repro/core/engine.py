@@ -8,8 +8,9 @@ input timeline it
 1. takes each input TVR's snapshot as the prefix ``ptime <= t`` of its
    arrivals, which are shipped to Spark once per run and pinned there,
 2. runs the user's relational query through Catalyst,
-3. diffs the collected result against the previous state per event-time
-   group (``repro.core.diff``), and
+3. diffs the collected result against the previous one, so that only the
+   event-time groups that changed reach the per-group state
+   (``repro.core.diff``), and
 4. applies the query's :class:`~repro.core.emit.EmitSpec` to decide *when*
    those diffs materialize (Extensions 4–7) and when groups complete and
    release state (Extension 2).
@@ -20,11 +21,13 @@ watermark timeline, so this engine replays that script. Incrementality is
 complete-mode recomputation + update-mode differencing — semantically the
 model Structured Streaming implements, with processing time made explicit.
 
-Late data (Extension 2): once the watermark passes a group's event-time
-upper bound (plus ``allowed_lateness``), the group is *frozen*: its value is
-pinned and any later input-driven change to it is counted as dropped, never
-emitted. Pending delay timers still fire with the pinned value — only
-*inputs after completeness* are dropped, not not-yet-materialized changes.
+Late data (Extension 2, §5): a group is *complete* once the watermark
+passes its event-time upper bound, and *closed* once it passes that bound
+plus ``allowed_lateness``; both are read off the watermark, not stored. A
+closed group's state is released once it has no pending delay timer (the
+timer still fires with the group's last value). A later input-driven change
+to it is late: dropped, never emitted, and counted in ``dropped_late_rows``
+once, at the step where it happens.
 """
 from __future__ import annotations
 
@@ -143,67 +146,61 @@ class TvrEngine:
         marks = [log.watermark() for log in logs.values() if log.etime_col is not None]
         effective = reduce(Watermark.combine_min, marks) if marks else Watermark()
         wm: Optional[pd.Timestamp] = None
+        horizon: Optional[pd.Timestamp] = None  # wm less allowed lateness
 
-        # Engine state.
+        # Per-group state, held until the group is closed and its timer has
+        # fired. ``cur`` values are replaced, never mutated: ``emitted``
+        # shares them.
         columns: Optional[List[str]] = None
         key_cols: Optional[List[str]] = self.key_cols
+        prev: Optional[pd.DataFrame] = None  # the last collected result
         cur: Dict[tuple, Counter] = {}
-        emitted: Dict[tuple, Counter] = defaultdict(Counter)
+        emitted: Dict[tuple, Counter] = {}
         ver: Dict[tuple, int] = defaultdict(int)
-        ontime_done: set = set()
-        frozen: Dict[tuple, Counter] = {}
-        live: set = set()  # groups seen and not frozen
         timers: Dict[tuple, pd.Timestamp] = {}
         timer_heap: List[tuple] = []
+        live: set = set()  # held groups that are not closed
         entries: List[dict] = []
-        stats = {
-            "steps": 0,
-            "recomputes": 0,
-            "emitted_rows": 0,
-            "dropped_late_rows": 0,
-            "finalized_groups": 0,
-            "max_live_groups": 0,
-            "timer_fires": 0,
-        }
+        stats = dict.fromkeys([
+            "steps", "recomputes", "emitted_rows", "dropped_late_rows",
+            "finalized_groups", "max_live_groups", "timer_fires",
+        ], 0)
 
         def emit_key_rows(key: tuple, ptime: pd.Timestamp) -> None:
             """Materialize key's pending diff (emitted -> cur) at ptime."""
-            new_state = {key: cur.get(key, Counter())}
-            rows = D.changelog_rows(
-                emitted, new_state, ptime=ptime, ver_counters=ver, keys=[key]
-            )
+            rows = D.changelog_rows(emitted, cur, ptime=ptime, ver_counters=ver, keys=[key])
             entries.extend(rows)
             stats["emitted_rows"] += len(rows)
-            emitted[key] = Counter(cur.get(key, Counter()))
+            emitted[key] = cur.get(key, Counter())
 
-        def passed(key: tuple, lateness=pd.Timedelta(0)) -> bool:
-            """Whether the watermark in force has passed key's wend + lateness."""
-            if wm is None or self.wend_col is None:
+        def passed(key: tuple, mark: Optional[pd.Timestamp]) -> bool:
+            """Whether event time ``mark`` has reached key's wend. A group is
+            complete once the watermark ``wm`` passes it, and closed once
+            ``horizon``, the watermark less allowed lateness, does."""
+            if mark is None or self.wend_col is None:
                 return False
             we = key[key_cols.index(self.wend_col)]
-            return we is not None and pd.Timestamp(we) + lateness <= wm
+            return we is not None and pd.Timestamp(we) <= mark
+
+        def release(key: tuple) -> None:
+            for state in (cur, emitted, ver):
+                state.pop(key, None)
 
         ai = 0  # agenda index
         while ai < len(agenda) or timer_heap:
-            next_event_t = agenda[ai] if ai < len(agenda) else None
-            next_timer_t = timer_heap[0][0] if timer_heap else None
-            if next_event_t is None and next_timer_t is None:
-                break
-            if next_timer_t is not None and until is not None and next_timer_t > until:
-                if next_event_t is None:
-                    break
-                next_timer_t = None
-            t = min(x for x in (next_event_t, next_timer_t) if x is not None)
+            t = min(agenda[ai:ai + 1] + [ft for ft, _, _ in timer_heap[:1]])
             stats["steps"] += 1
-
-            if t == next_event_t:
+            if ai < len(agenda) and agenda[ai] == t:
                 ai += 1
 
-            # 1. Recompute the result relation iff the input changed.
+            # 1. Recompute the result relation iff the input changed, and
+            # apply its change since the last recompute to the groups it
+            # touches. A change to a closed group is late: it is dropped and
+            # counted once, here.
+            changed: set = set()  # groups changed at t and not yet emitted
             if t in inserted:
                 stats["recomputes"] += 1
-                res = self.query(self.spark, **snapshots(t))
-                pdf = res.toPandas()
+                pdf = self.query(self.spark, **snapshots(t)).toPandas()
                 if columns is None:
                     columns = list(pdf.columns)
                     if key_cols is None:
@@ -212,89 +209,74 @@ class TvrEngine:
                         raise ValueError(
                             f"wend_col {self.wend_col!r} not in key columns {key_cols}"
                         )
-                new = D.rows_by_key(pdf, columns, key_cols)
-                # A group first seen after the watermark passed its end gets
-                # no on-time pane; past allowed lateness all its rows drop.
-                for key in new.keys() - ontime_done:
-                    if passed(key):
-                        ontime_done.add(key)
-                        if passed(key, emit.allowed_lateness):
-                            frozen[key] = Counter()
-                            stats["finalized_groups"] += 1
-                # Frozen groups: pin their value; count suppressed changes.
-                for key, pinned in frozen.items():
-                    incoming = new.get(key, Counter())
-                    if incoming != pinned:
-                        delta = sum((incoming - pinned).values()) + sum(
-                            (pinned - incoming).values()
-                        )
-                        stats["dropped_late_rows"] += delta
-                    if pinned:
-                        new[key] = Counter(pinned)
+                delta = D.rows_by_key(pdf, columns, key_cols, prev)
+                prev = pdf
+                for key, d in delta.items():
+                    if passed(key, horizon):
+                        stats["dropped_late_rows"] += sum(map(abs, d.values()))
+                        continue
+                    new = cur.get(key, Counter()) + d  # keeps positive counts
+                    if new:
+                        cur[key] = new
                     else:
-                        new.pop(key, None)
-                cur = new
+                        cur.pop(key, None)
+                    changed.add(key)
 
             # 2. Fire delay timers due at t (they see the batch applied at t).
-            if emit.after_delay is not None:
-                while timer_heap and timer_heap[0][0] <= t:
-                    ft, key = heapq.heappop(timer_heap)
-                    if timers.get(key) != ft:
-                        continue  # cancelled/superseded
-                    del timers[key]
-                    stats["timer_fires"] += 1
-                    emit_key_rows(key, t)
+            # A closed group still materializes its last value, then is
+            # released.
+            while timer_heap and timer_heap[0][0] <= t:
+                ft, _, key = heapq.heappop(timer_heap)
+                if timers.get(key) != ft:
+                    continue  # cancelled/superseded
+                del timers[key]
+                stats["timer_fires"] += 1
+                emit_key_rows(key, t)
+                changed.discard(key)
+                if passed(key, horizon):
+                    release(key)
 
-            # 3. Continuous / immediate emissions for changed groups. A
-            # frozen group has no change left to emit: its pinned value is
-            # emitted or waits on its pending timer.
-            live = (cur.keys() | emitted.keys()) - frozen.keys()
-            changed = [
-                k for k in live if cur.get(k, Counter()) != emitted.get(k, Counter())
-            ]
+            # 3. Continuous / immediate emissions for changed groups.
             if emit.continuous:
                 for key in sorted(changed, key=D.nulls_first):
                     emit_key_rows(key, t)
             elif emit.after_delay is not None:
                 for key in changed:
                     if key not in timers:
-                        ft = t + emit.after_delay
-                        timers[key] = ft
-                        heapq.heappush(timer_heap, (ft, key))
+                        # A timer due after ``until`` is recorded but never fires.
+                        ft = timers[key] = t + emit.after_delay
+                        if until is None or ft <= until:
+                            heapq.heappush(timer_heap, (ft, D.nulls_first(key), key))
             elif emit.after_watermark:
-                # Late panes (only reachable with allowed_lateness > 0):
-                # a complete-but-not-frozen group emits late changes
-                # immediately.
+                # Late panes (only reachable with allowed_lateness > 0): a
+                # complete group that is not closed emits changes at once.
                 for key in sorted(changed, key=D.nulls_first):
-                    if key in ontime_done and key not in frozen:
+                    if passed(key, wm):
                         emit_key_rows(key, t)
 
-            # 4. Watermark advances: on-time panes, then freezing.
+            # 4. Watermark advances: on-time panes for groups it completes,
+            # then release of groups it closes.
+            live = {k for k in cur.keys() | emitted.keys() if not passed(k, horizon)}
             if t in advances:
-                wm = effective.at(t)
-                if wm is not None and self.wend_col is not None:
-                    for key in sorted(live, key=D.nulls_first):
-                        if not passed(key):
-                            continue
-                        if key not in ontime_done:
-                            ontime_done.add(key)
-                            if emit.after_watermark:
-                                emit_key_rows(key, t)
-                                # On-time pane supersedes a pending early pane.
-                                timers.pop(key, None)
-                        if passed(key, emit.allowed_lateness):
-                            frozen[key] = Counter(cur.get(key, Counter()))
-                            stats["finalized_groups"] += 1
-                            live.discard(key)
+                prior, wm = wm, effective.at(t)
+                horizon = None if wm is None else wm - emit.allowed_lateness
+                for key in sorted(live, key=D.nulls_first):
+                    if emit.after_watermark and passed(key, wm) and not passed(key, prior):
+                        emit_key_rows(key, t)
+                        # On-time pane supersedes a pending early pane.
+                        timers.pop(key, None)
+                    if passed(key, horizon):
+                        stats["finalized_groups"] += 1
+                        live.discard(key)
+                        if key not in timers:
+                            release(key)
 
             stats["max_live_groups"] = max(stats["max_live_groups"], len(live))
 
         stats["final_live_groups"] = len(live)
         stats["final_watermark"] = wm
-        if columns is None:
-            columns = []
-        changelog = D.changelog_to_pdf(entries, columns)
-        return StreamResult(columns, emit, changelog, stats)
+        columns = columns or []
+        return StreamResult(columns, emit, D.changelog_to_pdf(entries, columns), stats)
 
 
 def run_query(
@@ -317,15 +299,15 @@ def snapshot_query(
     logs: Mapping[str, EventLog],
     query: QueryFn,
     at=None,
-) -> DataFrame:
+) -> pd.DataFrame:
     """Classic instantaneous-view semantics: run the query once over the
     inputs' snapshots at processing time ``at`` — no completeness
     reasoning, no late-drop. This is the point-in-time baseline the engine's
     continuous table view is tested against (they agree absent late data).
-    The result is collected before the inputs are released from Spark."""
+    The result is collected, as a pandas frame, before the inputs are
+    released from Spark."""
     with _snapshots(spark, logs) as snapshots:
-        res = query(spark, **snapshots(at))
-        return spark.createDataFrame(res.toPandas(), schema=res.schema)
+        return query(spark, **snapshots(at)).toPandas()
 
 
 @contextmanager

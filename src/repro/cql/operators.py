@@ -1,78 +1,15 @@
-"""CQL relation-to-stream operators (paper §2.1.1).
+"""CQL relation-to-stream operator (paper §2.1.1).
 
 Over a relation history (a DataFrame with a ``tau`` instant column, as
 produced by :func:`~repro.cql.relations.range_slide_history` or by any
-relation-to-relation query over it):
-
-- ``Istream(R)``: all ``(r, tau)`` where ``r`` is in R(tau) but not in
-  R(tau - step);
-- ``Dstream(R)``: all ``(r, tau)`` where ``r`` is in R(tau - step) but
-  not in R(tau);
-- ``Rstream(R)``: all ``(r, tau)`` with ``r`` in R(tau).
-
-CQL relations are bags, so the diffs are count-aware: a row whose
-multiplicity rises from 1 to 3 yields two Istream tuples. Implemented as
-grouped counts + a full outer self-join shifted by one grid step + a
-``sequence`` explode for multiplicities — all in Catalyst.
+relation-to-relation query over it), ``Rstream(R)`` is every ``(r, tau)``
+with ``r`` in R(tau). Listing 1 needs only Rstream.
 """
 from __future__ import annotations
 
-from datetime import timedelta
-from typing import List, Union
-
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from ..core.windows import _seconds
-from .relations import TAU
-
-Duration = Union[timedelta, int, float]
 
 
 def rstream(history: DataFrame) -> DataFrame:
     """Rstream: every element of every instantaneous relation."""
     return history
-
-
-def _counted_diff(history: DataFrame, step: Duration, sign: int) -> DataFrame:
-    s = _seconds(step, "step")
-    payload: List[str] = [c for c in history.columns if c != TAU]
-    cur = history.groupBy(TAU, *payload).agg(F.count(F.lit(1)).alias("__cnt"))
-    prev = cur.withColumn(TAU, F.expr(f"{TAU} + INTERVAL {s} SECOND")).withColumnRenamed(
-        "__cnt", "__cnt_prev"
-    )
-    joined = cur.join(prev, on=[TAU] + payload, how="full").na.fill(
-        {"__cnt": 0, "__cnt_prev": 0}
-    )
-    if sign < 0:
-        # Deletions are only observable at sampled instants: the shifted
-        # prev side would otherwise fabricate a grid point one step past
-        # the end of the history.
-        maxtau = history.agg(F.max(TAU).alias("__maxtau"))
-        joined = (
-            joined.crossJoin(maxtau)
-            .filter(F.col(TAU) <= F.col("__maxtau"))
-            .drop("__maxtau")
-        )
-    delta = (F.col("__cnt") - F.col("__cnt_prev")) * sign
-    return (
-        joined.withColumn("__delta", delta)
-        .filter(F.col("__delta") > 0)
-        .select(TAU, *payload, F.explode(F.expr("sequence(1, __delta)")).alias("__i"))
-        .drop("__i")
-    )
-
-
-def istream(history: DataFrame, step: Duration) -> DataFrame:
-    """Istream over a history sampled on a grid of spacing ``step``."""
-    return _counted_diff(history, step, sign=+1)
-
-
-def dstream(history: DataFrame, step: Duration) -> DataFrame:
-    """Dstream over a history sampled on a grid of spacing ``step``.
-
-    Note: tuples deleted at the instant *after* the last sampled tau are
-    not observable inside the sampled horizon, matching CQL's semantics of
-    evaluating only at existing instants.
-    """
-    return _counted_diff(history, step, sign=-1)

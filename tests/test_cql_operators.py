@@ -1,15 +1,14 @@
-"""CQL stream-to-relation and relation-to-stream operators (§2.1.1),
-checked against their definitional semantics and the DuckDB oracle."""
+"""CQL's stream-to-relation window and Rstream (§2.1.1), checked against
+their definitional semantics and the DuckDB oracle."""
 from datetime import timedelta
 
 import pandas as pd
 import pytest
 
-from repro.cql.operators import dstream, istream, rstream
+from repro.cql.operators import rstream
 from repro.cql.relations import TAU, range_slide_history
 from repro.nexmark import example as ex
 from repro.oracle import assert_equivalent
-from tests.helpers import assert_pdf_equal
 
 t = ex.t
 TEN = timedelta(minutes=10)
@@ -80,87 +79,3 @@ class TestRangeSlide:
 class TestRstream:
     def test_identity(self, hist10):
         assert rstream(hist10) is hist10
-
-
-class TestIstream:
-    def test_tumbling_istream_is_everything(self, hist10):
-        # With disjoint windows every element is new at its tau.
-        pdf = istream(hist10, TEN).toPandas()
-        assert len(pdf) == 6
-
-    def test_sliding_istream_counts_insertions_once(self, spark, bid_df):
-        hist = range_slide_history(bid_df, "bidtime", TEN, FIVE)
-        pdf = istream(hist, FIVE).toPandas()
-        # Every bid is inserted exactly once (at its first visible tau).
-        assert len(pdf) == 6
-        got = dict(zip(pdf["item"], pdf[TAU]))
-        assert got["A"] == t(8, 10)  # A visible at 8:10 and 8:15
-
-    def test_multiplicity_increase(self, spark):
-        hist = spark.createDataFrame(
-            pd.DataFrame({TAU: [t(8, 0), t(8, 5), t(8, 5)], "v": [1, 1, 1]})
-        )
-        pdf = istream(hist, FIVE).toPandas()
-        # count rises 1 -> 2: one insertion at 8:05 (plus the original).
-        at5 = pdf[pdf[TAU] == t(8, 5)]
-        assert len(at5) == 1
-
-
-class TestDstream:
-    def test_tumbling_dstream_deletes_at_next_instant(self, spark, bid_df):
-        hist = range_slide_history(bid_df, "bidtime", TEN, TEN)
-        pdf = dstream(hist, TEN).toPandas()
-        # Window content at 8:10 disappears at 8:20 (3 deletions); the
-        # 8:20 content's deletion instant (8:30) is outside the history.
-        assert len(pdf) == 3
-        assert set(pdf[TAU]) == {t(8, 20)}
-        assert sorted(pdf["item"]) == ["A", "C", "D"]
-
-    def test_istream_dstream_reconstruct_history(self, spark, bid_df):
-        """Bag algebra: R(tau) = R(tau-step) + Istream(tau) - Dstream(tau),
-        checked per instant on the sliding history."""
-        hist = range_slide_history(bid_df, "bidtime", TEN, FIVE)
-        h = hist.toPandas()
-        ins = istream(hist, FIVE).toPandas()
-        dels = dstream(hist, FIVE).toPandas()
-
-        def bag(pdf, tau):
-            sel = pdf[pdf[TAU] == tau]
-            return sorted(zip(sel["bidtime"], sel["price"], sel["item"]))
-
-        taus = sorted(h[TAU].unique())
-        for prev, cur in zip([None] + taus[:-1], taus):
-            base = bag(h, prev) if prev is not None else []
-            rebuilt = sorted(base + bag(ins, cur))
-            for row in bag(dels, cur):
-                rebuilt.remove(row)
-            assert rebuilt == bag(h, cur), f"mismatch at tau={cur}"
-
-
-class TestIstreamOracle:
-    def test_istream_vs_duckdb(self, spark, bid_df):
-        hist = range_slide_history(bid_df, "bidtime", TEN, FIVE)
-        got = istream(hist, FIVE).select("item", TAU)
-        assert_equivalent(
-            got,
-            """
-            WITH hist AS (
-                SELECT b.item AS item, g.tau AS tau
-                FROM bid b
-                JOIN (SELECT range AS tau
-                      FROM range(TIMESTAMP '2023-01-01 08:00:00',
-                                 TIMESTAMP '2023-01-01 08:30:00',
-                                 INTERVAL '5 minutes')) g
-                  ON b.bidtime <= g.tau
-                 AND b.bidtime > g.tau - INTERVAL '10 minutes'
-            )
-            SELECT cur.item AS item, cur.tau AS tau
-            FROM hist cur
-            WHERE NOT EXISTS (
-                SELECT 1 FROM hist prev
-                WHERE prev.item = cur.item
-                  AND prev.tau = cur.tau - INTERVAL '5 minutes'
-            )
-            """,
-            bid=ex.bid_log().snapshot_pdf(),
-        )

@@ -229,3 +229,18 @@ class TestDualityProperty:
         for key_state in new.values():
             want.update(key_state)
         assert state == want
+
+    @given(rows_st, rows_st)
+    @settings(max_examples=80, deadline=None)
+    def test_step_diff_is_signed_difference(self, old_rows, new_rows):
+        """``rows_by_key`` against a previous frame yields, per key, each
+        row's count in ``new`` minus its count in ``old``, nonzero only."""
+        cols = ["k", "v"]
+        old, new = (pd.DataFrame(r, columns=cols) for r in (old_rows, new_rows))
+        got = D.rows_by_key(new, cols, ["k"], prev=old)
+        want = Counter(new_rows)
+        want.subtract(Counter(old_rows))
+        assert all(key == (row[0],) for key, c in got.items() for row in c)
+        assert {row: n for c in got.values() for row, n in c.items()} == {
+            row: n for row, n in want.items() if n
+        }

@@ -3,18 +3,12 @@ from datetime import timedelta
 
 import pytest
 
-from repro.core.emit import (
-    STREAM,
-    STREAM_AFTER_WATERMARK,
-    TABLE_AFTER_WATERMARK,
-    TABLE_DEFAULT,
-    EmitSpec,
-)
+from repro.core.emit import EmitSpec
 
 
 class TestValidation:
     def test_default_is_continuous_table(self):
-        assert TABLE_DEFAULT.continuous and not TABLE_DEFAULT.stream
+        assert EmitSpec().continuous and not EmitSpec().stream
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -30,36 +24,16 @@ class TestValidation:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            STREAM.stream = False
+            EmitSpec(stream=True).stream = False
 
 
 class TestContinuous:
     def test_stream_is_continuous(self):
-        assert STREAM.continuous
+        assert EmitSpec(stream=True).continuous
 
     def test_watermark_gate_is_not_continuous(self):
-        assert not TABLE_AFTER_WATERMARK.continuous
-        assert not STREAM_AFTER_WATERMARK.continuous
+        assert not EmitSpec(after_watermark=True).continuous
+        assert not EmitSpec(stream=True, after_watermark=True).continuous
 
     def test_delay_gate_is_not_continuous(self):
         assert not EmitSpec(after_delay=timedelta(minutes=6)).continuous
-
-
-class TestDescribe:
-    def test_plain_table(self):
-        assert "continuous table" in TABLE_DEFAULT.describe()
-
-    def test_stream(self):
-        assert STREAM.describe() == "EMIT STREAM"
-
-    def test_stream_after_watermark(self):
-        assert STREAM_AFTER_WATERMARK.describe() == "EMIT STREAM AFTER WATERMARK"
-
-    def test_combined(self):
-        s = EmitSpec(
-            stream=True, after_watermark=True, after_delay=timedelta(minutes=6)
-        )
-        assert (
-            s.describe()
-            == "EMIT STREAM AFTER DELAY INTERVAL '360' SECOND AND AFTER WATERMARK"
-        )

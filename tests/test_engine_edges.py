@@ -6,7 +6,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import EmitSpec, TvrEngine, run_query, snapshot_query
+from repro.core import EmitSpec, run_query
+from repro.core.engine import TvrEngine, snapshot_query
 from repro.core.timeline import EventLog
 from repro.core.windows import hop_starts_sql, tumble, tumble_end_sql, tumble_start_sql
 from repro.cql import cql_q7
@@ -28,7 +29,7 @@ class TestConvenienceEntryPoints:
 
     def test_snapshot_query_single_log(self, spark):
         df = snapshot_query(spark, {"input": ex.bid_log()}, lambda s, input: input)
-        assert df.count() == 6
+        assert len(df) == 6
 
 
 class TestErrorPaths:
@@ -132,7 +133,11 @@ class TestDegenerateRuns:
                 .agg(F.count(F.lit(1)).alias("n"))
             )
 
-        for emit in (EmitSpec(stream=True), EmitSpec(stream=True, after_watermark=True)):
+        for emit in (
+            EmitSpec(stream=True),
+            EmitSpec(stream=True, after_watermark=True),
+            EmitSpec(stream=True, after_delay=timedelta(minutes=3)),
+        ):
             r = run_query(
                 spark, {"bid": log}, q, emit=emit,
                 key_cols=["wstart", "wend", "item"], wend_col="wend",

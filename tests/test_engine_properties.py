@@ -2,14 +2,17 @@
 duality of the paper (§3.1) holds for the *whole engine*, not just the
 differ — replaying the emitted changelog at any processing time equals the
 snapshot query at that time (absent late data), for random out-of-order
-streams and several query shapes."""
+streams and several query shapes. With late data, the final table holds
+exactly the rows that arrived before their window closed (Extension 2)."""
+import random
 from datetime import timedelta
 
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import EmitSpec, run_query, snapshot_query
+from repro.core import EmitSpec, run_query
+from repro.core.engine import snapshot_query
 from repro.core.timeline import EventLog
 from repro.core.windows import tumble
 from repro.nexmark import example as ex
@@ -71,7 +74,7 @@ def test_duality_on_random_streams(spark, qname, seed):
     )
     for at in log.ptimes():
         snap = snapshot_query(spark, {"bid": log}, QUERIES[qname], at=at)
-        assert_pdf_equal(r.table(at=at), snap.toPandas(), ordered=False)
+        assert_pdf_equal(r.table(at=at), snap, ordered=False)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -157,3 +160,58 @@ def test_two_input_union_equals_merged_log(spark):
         key_cols=["wstart", "wend"], wend_col="wend",
     )
     assert_pdf_equal(split.changelog, merged.changelog)
+
+
+def _watermark_violating_log(seed: int) -> EventLog:
+    """Four batches six minutes apart. Each batch's bids have event times
+    anywhere since 8:00, and its watermark trails its ptime by up to eight
+    minutes, rounded down to five, so bids of older windows arrive late and
+    some arrive just as their window (plus lateness) closes."""
+    rng = random.Random(seed)
+    log = EventLog(ex.BID_COLUMNS, etime_col="bidtime")
+    mark = t(8, 0)
+    for b in range(1, 5):
+        p = t(8, 6 * b)
+        for _ in range(rng.randint(2, 4)):
+            etime = t(8, rng.randrange(6 * b))
+            log.insert(p, etime, rng.randint(1, 9), rng.choice("ABC"))
+        mark = max(mark, (p - timedelta(minutes=rng.randint(0, 8))).floor("5min"))
+        log.watermark_to(p, mark)
+    return log
+
+
+LATE_SPECS = [
+    dict(stream=True),
+    dict(stream=True, after_watermark=True),
+    dict(stream=True, after_delay=timedelta(minutes=3)),
+    dict(stream=True, after_watermark=True, after_delay=timedelta(minutes=3)),
+]
+
+
+@pytest.mark.parametrize("lateness", [0, 5])
+@pytest.mark.parametrize("spec", LATE_SPECS, ids=["stream", "wm", "delay", "delay_wm"])
+@pytest.mark.parametrize("seed", range(3))
+def test_late_rows_dropped_exactly(spark, seed, spec, lateness):
+    """A row is kept iff its window's end plus allowed lateness is after the
+    watermark in force just before it arrives. The final table is the count
+    over the kept rows (under AFTER WATERMARK alone, of the windows the
+    final watermark completes), and drops are counted iff a row is dropped."""
+    log = _watermark_violating_log(seed)
+    emit = EmitSpec(allowed_lateness=timedelta(minutes=lateness), **spec)
+    r = run_query(
+        spark, {"bid": log}, q_count, emit=emit,
+        key_cols=["wstart", "wend"], wend_col="wend",
+    )
+    rows = log.arrivals_pdf()
+    wstart = rows["bidtime"].dt.floor(TEN)
+    marks = [log.watermark().at(p - pd.Timedelta(1)) for p in rows["ptime"]]
+    assert any(m is not None and b < m for b, m in zip(rows["bidtime"], marks))
+    kept = [m is None or w + TEN + emit.allowed_lateness > m for w, m in zip(wstart, marks)]
+    want = (
+        rows[kept].assign(wstart=wstart[kept], wend=wstart[kept] + TEN)
+        .groupby(["wstart", "wend"]).size().rename("n").reset_index()
+    )
+    if emit.after_watermark and emit.after_delay is None:
+        want = want[want["wend"] <= log.watermark().updates[-1][1]]
+    assert_pdf_equal(r.table(), want, ordered=False)
+    assert (r.stats["dropped_late_rows"] == 0) == all(kept)

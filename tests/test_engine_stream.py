@@ -4,7 +4,8 @@ duality on the paper's example."""
 import pandas as pd
 import pytest
 
-from repro.core import EmitSpec, run_query, snapshot_query
+from repro.core import EmitSpec, run_query
+from repro.core.engine import snapshot_query
 from repro.nexmark import example as ex
 from repro.nexmark.queries import make_q7, q7_duckdb_sql
 from repro.oracle import assert_equivalent
@@ -85,7 +86,7 @@ class TestDuality:
     )
     def test_integrated_changelog_equals_snapshot_query(self, spark, stream_run, at):
         snap = snapshot_query(spark, {"bid": ex.bid_log()}, make_q7(), at=at)
-        assert_pdf_equal(stream_run.table(at=at), snap.toPandas(), ordered=False)
+        assert_pdf_equal(stream_run.table(at=at), snap, ordered=False)
 
 
 class TestOracleQ7:

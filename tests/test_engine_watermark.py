@@ -101,13 +101,24 @@ class TestLateDataDropped:
 
     def test_continuous_mode_also_drops_after_completeness(self, spark):
         # Extension 2 applies to the grouping itself, not only when EMIT
-        # AFTER WATERMARK is requested: the frozen window ignores the late
+        # AFTER WATERMARK is requested: the closed window ignores the late
         # bid in plain EMIT STREAM mode too.
         r = run_query(
             spark, {"bid": _late_log()}, make_q7(), emit=EmitSpec(stream=True), **KW
         )
         assert_pdf_equal(r.table(), ex.LISTING_3, ordered=False)
         assert r.stats["dropped_late_rows"] > 0
+
+    @pytest.mark.parametrize("n_later", [0, 1, 2, 3])
+    def test_late_row_counted_once(self, spark, n_later):
+        """The late bid replaces its closed window's Q7 row once (one undo,
+        one insert), so it counts as 2 dropped rows however many
+        recomputes of on-time input follow it."""
+        log = _late_log()
+        for i in range(n_later):
+            log.insert(t(8, 22) + timedelta(seconds=10 * i), t(8, 21), 1, f"X{i}")
+        r = run_query(spark, {"bid": log}, make_q7(), emit=EmitSpec(stream=True), **KW)
+        assert r.stats["dropped_late_rows"] == 2
 
 
 class TestLateOnlyGroups:

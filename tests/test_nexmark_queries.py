@@ -5,7 +5,8 @@ from datetime import timedelta
 
 import pytest
 
-from repro.core import EmitSpec, run_query, snapshot_query
+from repro.core import EmitSpec, run_query
+from repro.core.engine import snapshot_query
 from repro.nexmark import generator as gen
 from repro.nexmark import queries as Q
 from repro.oracle import assert_equivalent
@@ -195,4 +196,4 @@ class TestSnapshotVsEngineTableParity:
             key_cols=["wstart", "wend"], wend_col="wend",
         )
         snap = snapshot_query(spark, {"bid": log}, Q.make_q7())
-        assert_pdf_equal(r.table(), snap.toPandas(), ordered=False)
+        assert_pdf_equal(r.table(), snap, ordered=False)

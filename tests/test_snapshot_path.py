@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import EmitSpec, run_query, snapshot_query
+from repro.core import EmitSpec, run_query
+from repro.core.engine import snapshot_query
 from repro.core.timeline import EventLog
 from repro.nexmark import example as ex
 
@@ -56,7 +57,7 @@ def test_identity_snapshot_equals_snapshot_pdf(spark, script):
     )
     before_first = log.arrivals_pdf()["ptime"].iloc[0] - pd.Timedelta(1, "ns")
     for at in [before_first, *log.ptimes()]:
-        got = snapshot_query(spark, {"bid": log}, lambda s, bid: bid, at=at).toPandas()
+        got = snapshot_query(spark, {"bid": log}, lambda s, bid: bid, at=at)
         pd.testing.assert_frame_equal(got, log.snapshot_pdf(at).reset_index(drop=True))
 
 
@@ -65,7 +66,7 @@ class TestPinsReleased:
         before = persisted(spark)
         run_query(spark, {"bid": ex.bid_log()}, lambda s, bid: bid, emit=EmitSpec(stream=True))
         assert persisted(spark) == before
-        snapshot_query(spark, {"bid": ex.bid_log()}, lambda s, bid: bid).toPandas()
+        snapshot_query(spark, {"bid": ex.bid_log()}, lambda s, bid: bid)
         assert persisted(spark) == before
 
     def test_query_raises(self, spark):
