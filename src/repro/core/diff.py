@@ -1,10 +1,12 @@
 """Changelog differencing (Extension 4 machinery).
 
 A query result at two consecutive processing times is a pair of relations;
-their per-group multiset difference is the changelog step: retracted rows
-become ``undo`` entries, new rows become inserts, and each emitted row gets
-a ``ver`` sequence number *relative to other changes of the same event-time
-grouping* (the paper's ``ver`` column in Listing 9).
+their per-group difference is a signed multiset of rows (a Z-set of DBSP,
+Budiu et al., VLDB 2023). The engine sums these per group until the group
+materializes; then negative counts become ``undo`` entries, positive ones
+inserts, and each emitted row gets a ``ver`` sequence number *relative to
+other changes of the same event-time grouping* (the paper's ``ver`` column
+in Listing 9).
 
 This module is deliberately pure pandas/python: it is the driver-side
 "sink-adjacent" part of the engine, operating on already-collected (small)
@@ -13,7 +15,7 @@ query results; all heavy relational work happens in Spark upstream.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import pandas as pd
 
@@ -23,7 +25,6 @@ VER = "ver"
 META_COLS = [UNDO, PTIME, VER]
 
 Key = tuple
-Row = tuple
 
 
 def nulls_first(values: tuple) -> tuple:
@@ -81,65 +82,28 @@ def rows_by_key(
     return out
 
 
-def multiset_diff(old: Counter, new: Counter) -> Tuple[List[Row], List[Row]]:
-    """``(removed, added)`` between two row multisets, each sorted for
-    deterministic emission order."""
-    removed = sorted((old - new).elements(), key=nulls_first)
-    added = sorted((new - old).elements(), key=nulls_first)
-    return removed, added
-
-
-def changelog_rows(
-    old_by_key: Dict[Key, Counter],
-    new_by_key: Dict[Key, Counter],
-    *,
-    ptime: pd.Timestamp,
-    ver_counters: Dict[Key, int],
-    keys: Optional[Iterable[Key]] = None,
-) -> List[dict]:
-    """Diff two keyed result states into changelog entries.
-
-    Emits, per key (sorted): undo rows for retractions then rows for
-    insertions, stamping each with ``ptime`` and the key's next ``ver``.
-    ``keys`` restricts the diff to a subset (the engine materializes one
-    group at a time).
-
-    ``ver_counters`` is mutated: it carries each group's version sequence
-    across the whole run.
-    """
-    todo = set(old_by_key) | set(new_by_key) if keys is None else set(keys)
-    out: List[dict] = []
-    for key in sorted(todo, key=nulls_first):
-        removed, added = multiset_diff(
-            old_by_key.get(key, Counter()), new_by_key.get(key, Counter())
+def changelog_rows(change: Counter, *, ptime: pd.Timestamp, ver: int) -> List[tuple]:
+    """Changelog entries that materialize ``change``, a group's signed row
+    counts since its last pane: undo rows for negative counts, then insert
+    rows for positive counts, each ``|n|`` times and sorted NULLs first.
+    Each entry is ``row + (undo, ptime, ver)``, ``ver`` counting up from
+    the given one."""
+    rows = [
+        (row, undo)
+        for undo, sign in ((True, -1), (False, 1))
+        for row in sorted(
+            (r for r, n in change.items() for _ in range(sign * n)), key=nulls_first
         )
-        for row, is_undo in [(r, True) for r in removed] + [(r, False) for r in added]:
-            out.append(
-                {
-                    "_row": row,
-                    UNDO: is_undo,
-                    PTIME: ptime,
-                    VER: ver_counters[key],
-                }
-            )
-            ver_counters[key] += 1
-    return out
+    ]
+    return [row + (undo, ptime, ver + i) for i, (row, undo) in enumerate(rows)]
 
 
-def changelog_to_pdf(entries: List[dict], columns: Sequence[str]) -> pd.DataFrame:
+def changelog_to_pdf(entries: List[tuple], columns: Sequence[str]) -> pd.DataFrame:
     """Render accumulated changelog entries as a frame with the result's
     payload columns followed by ``undo``, ``ptime``, ``ver``."""
-    records = []
-    for e in entries:
-        rec = dict(zip(columns, e["_row"]))
-        rec[UNDO] = e[UNDO]
-        rec[PTIME] = e[PTIME]
-        rec[VER] = e[VER]
-        records.append(rec)
-    pdf = pd.DataFrame(records, columns=list(columns) + META_COLS)
-    pdf[UNDO] = pdf[UNDO].astype(bool)
-    pdf[VER] = pdf[VER].astype("int64")
-    return pdf
+    return pd.DataFrame(entries, columns=list(columns) + META_COLS).astype(
+        {UNDO: bool, VER: "int64"}
+    )
 
 
 def integrate_changelog(

@@ -8,12 +8,17 @@ input timeline it
 1. takes each input TVR's snapshot as the prefix ``ptime <= t`` of its
    arrivals, which are shipped to Spark once per run and pinned there,
 2. runs the user's relational query through Catalyst,
-3. diffs the collected result against the previous one, so that only the
-   event-time groups that changed reach the per-group state
-   (``repro.core.diff``), and
+3. diffs the collected result against the previous one and adds each
+   changed event-time group's change to that group's pending change, a
+   signed multiset of rows (``repro.core.diff``), and
 4. applies the query's :class:`~repro.core.emit.EmitSpec` to decide *when*
-   those diffs materialize (Extensions 4–7) and when groups complete and
-   release state (Extension 2).
+   a group's pending change materializes (Extensions 4–7) and when groups
+   complete and release state (Extension 2).
+
+Per-group state is only the pending change, the next ``ver``, a pending
+delay timer and membership in the live set; the result's current value is
+never held. Timers fire from a FIFO in the order they were set, since
+every timer has the same delay and steps run in ptime order.
 
 Real Structured Streaming derives its watermark from observed max event
 time minus a fixed delay; the paper's listings instead script an explicit
@@ -25,14 +30,13 @@ Late data (Extension 2, §5): a group is *complete* once the watermark
 passes its event-time upper bound, and *closed* once it passes that bound
 plus ``allowed_lateness``; both are read off the watermark, not stored. A
 closed group's state is released once it has no pending delay timer (the
-timer still fires with the group's last value). A later input-driven change
+timer still fires with the group's last change). A later input-driven change
 to it is late: dropped, never emitted, and counted in ``dropped_late_rows``
 once, at the step where it happens.
 """
 from __future__ import annotations
 
-import heapq
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
@@ -149,29 +153,29 @@ class TvrEngine:
         horizon: Optional[pd.Timestamp] = None  # wm less allowed lateness
 
         # Per-group state, held until the group is closed and its timer has
-        # fired. ``cur`` values are replaced, never mutated: ``emitted``
-        # shares them.
+        # fired: the change not yet materialized (signed row counts), the
+        # next ``ver``, the delay timer. Its (fire time, key) FIFO entries
+        # are appended in key order, so timers due together fire by key.
         columns: Optional[List[str]] = None
         key_cols: Optional[List[str]] = self.key_cols
         prev: Optional[pd.DataFrame] = None  # the last collected result
-        cur: Dict[tuple, Counter] = {}
-        emitted: Dict[tuple, Counter] = {}
+        pending: Dict[tuple, Counter] = defaultdict(Counter)
         ver: Dict[tuple, int] = defaultdict(int)
         timers: Dict[tuple, pd.Timestamp] = {}
-        timer_heap: List[tuple] = []
+        fifo: deque = deque()
         live: set = set()  # held groups that are not closed
-        entries: List[dict] = []
+        entries: List[tuple] = []
         stats = dict.fromkeys([
             "steps", "recomputes", "emitted_rows", "dropped_late_rows",
             "finalized_groups", "max_live_groups", "timer_fires",
         ], 0)
 
-        def emit_key_rows(key: tuple, ptime: pd.Timestamp) -> None:
-            """Materialize key's pending diff (emitted -> cur) at ptime."""
-            rows = D.changelog_rows(emitted, cur, ptime=ptime, ver_counters=ver, keys=[key])
+        def materialize(key: tuple, ptime: pd.Timestamp) -> None:
+            """Emit key's pending change at ptime."""
+            rows = D.changelog_rows(pending.pop(key, {}), ptime=ptime, ver=ver[key])
             entries.extend(rows)
             stats["emitted_rows"] += len(rows)
-            emitted[key] = cur.get(key, Counter())
+            ver[key] += len(rows)
 
         def passed(key: tuple, mark: Optional[pd.Timestamp]) -> bool:
             """Whether event time ``mark`` has reached key's wend. A group is
@@ -182,27 +186,26 @@ class TvrEngine:
             we = key[key_cols.index(self.wend_col)]
             return we is not None and pd.Timestamp(we) <= mark
 
-        def release(key: tuple) -> None:
-            for state in (cur, emitted, ver):
-                state.pop(key, None)
-
         ai = 0  # agenda index
-        while ai < len(agenda) or timer_heap:
-            t = min(agenda[ai:ai + 1] + [ft for ft, _, _ in timer_heap[:1]])
+        while ai < len(agenda) or fifo:
+            t = min(agenda[ai:ai + 1] + ([fifo[0][0]] if fifo else []))
             stats["steps"] += 1
             if ai < len(agenda) and agenda[ai] == t:
                 ai += 1
 
             # 1. Recompute the result relation iff the input changed, and
-            # apply its change since the last recompute to the groups it
-            # touches. A change to a closed group is late: it is dropped and
-            # counted once, here.
+            # add its change since the last recompute to the pending change
+            # of the groups it touches. A change to a closed group is late:
+            # it is dropped and counted once, here.
             changed: set = set()  # groups changed at t and not yet emitted
             if t in inserted:
                 stats["recomputes"] += 1
                 pdf = self.query(self.spark, **snapshots(t)).toPandas()
                 if columns is None:
                     columns = list(pdf.columns)
+                    clash = [c for c in columns if c in D.META_COLS]
+                    if clash:
+                        raise ValueError(f"result column {clash[0]!r} is a changelog column")
                     if key_cols is None:
                         key_cols = list(columns)
                     if self.wend_col is not None and self.wend_col not in key_cols:
@@ -215,61 +218,57 @@ class TvrEngine:
                     if passed(key, horizon):
                         stats["dropped_late_rows"] += sum(map(abs, d.values()))
                         continue
-                    new = cur.get(key, Counter()) + d  # keeps positive counts
-                    if new:
-                        cur[key] = new
-                    else:
-                        cur.pop(key, None)
+                    pending[key].update(d)
                     changed.add(key)
+                live |= changed
 
             # 2. Fire delay timers due at t (they see the batch applied at t).
-            # A closed group still materializes its last value, then is
+            # A closed group still materializes its last change, then is
             # released.
-            while timer_heap and timer_heap[0][0] <= t:
-                ft, _, key = heapq.heappop(timer_heap)
+            while fifo and fifo[0][0] <= t:
+                ft, key = fifo.popleft()
                 if timers.get(key) != ft:
-                    continue  # cancelled/superseded
+                    continue  # cancelled by an on-time pane
                 del timers[key]
                 stats["timer_fires"] += 1
-                emit_key_rows(key, t)
+                materialize(key, t)
                 changed.discard(key)
                 if passed(key, horizon):
-                    release(key)
+                    del ver[key]  # released
 
             # 3. Continuous / immediate emissions for changed groups.
             if emit.continuous:
                 for key in sorted(changed, key=D.nulls_first):
-                    emit_key_rows(key, t)
+                    materialize(key, t)
             elif emit.after_delay is not None:
-                for key in changed:
+                for key in sorted(changed, key=D.nulls_first):
                     if key not in timers:
                         # A timer due after ``until`` is recorded but never fires.
                         ft = timers[key] = t + emit.after_delay
                         if until is None or ft <= until:
-                            heapq.heappush(timer_heap, (ft, D.nulls_first(key), key))
+                            fifo.append((ft, key))
             elif emit.after_watermark:
                 # Late panes (only reachable with allowed_lateness > 0): a
                 # complete group that is not closed emits changes at once.
                 for key in sorted(changed, key=D.nulls_first):
                     if passed(key, wm):
-                        emit_key_rows(key, t)
+                        materialize(key, t)
 
             # 4. Watermark advances: on-time panes for groups it completes,
             # then release of groups it closes.
-            live = {k for k in cur.keys() | emitted.keys() if not passed(k, horizon)}
             if t in advances:
                 prior, wm = wm, effective.at(t)
                 horizon = None if wm is None else wm - emit.allowed_lateness
                 for key in sorted(live, key=D.nulls_first):
                     if emit.after_watermark and passed(key, wm) and not passed(key, prior):
-                        emit_key_rows(key, t)
+                        materialize(key, t)
                         # On-time pane supersedes a pending early pane.
                         timers.pop(key, None)
                     if passed(key, horizon):
                         stats["finalized_groups"] += 1
                         live.discard(key)
                         if key not in timers:
-                            release(key)
+                            ver.pop(key, None)  # released: nothing is pending
 
             stats["max_live_groups"] = max(stats["max_live_groups"], len(live))
 

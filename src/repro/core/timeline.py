@@ -74,6 +74,9 @@ class EventLog:
             missing = set(self.columns) - set(kw)
             if missing:
                 raise ValueError(f"missing columns: {sorted(missing)}")
+            extra = set(kw) - set(self.columns)
+            if extra:
+                raise ValueError(f"unknown columns: {sorted(extra)}")
             values = tuple(kw[c] for c in self.columns)
         if len(values) != len(self.columns):
             raise ValueError(

@@ -34,87 +34,60 @@ class TestRowsByKey:
         assert out[()] == Counter({("a",): 1, ("b",): 1})
 
 
-class TestMultisetDiff:
-    def test_disjoint(self):
-        rem, add = D.multiset_diff(Counter({(1,): 1}), Counter({(2,): 1}))
-        assert rem == [(1,)] and add == [(2,)]
-
-    def test_identical(self):
-        c = Counter({(1,): 2})
-        assert D.multiset_diff(c, c) == ([], [])
-
-    def test_multiplicity_change(self):
-        rem, add = D.multiset_diff(Counter({(1,): 1}), Counter({(1,): 3}))
-        assert rem == [] and add == [(1,), (1,)]
-
-    def test_output_sorted(self):
-        rem, add = D.multiset_diff(Counter(), Counter({(2,): 1, (1,): 1}))
-        assert add == [(1,), (2,)]
+def entries(rows):
+    """``(row, undo, ver)`` of each changelog entry; ptime dropped."""
+    return [(r[:-3], r[-3], r[-1]) for r in rows]
 
 
 class TestChangelogRows:
     def test_undo_before_insert_and_ver_sequencing(self):
         # Paper Listing 9 at ptime 8:13: undo A (ver 1) then insert C (ver 2).
-        old = {("w1",): Counter({("w1", "A"): 1})}
-        new = {("w1",): Counter({("w1", "C"): 1})}
-        ver = defaultdict(int)
-        ver[("w1",)] = 1  # A was emitted with ver 0 earlier
-        rows = D.changelog_rows(old, new, ptime=t(8, 13), ver_counters=ver)
-        assert [(r["_row"], r[D.UNDO], r[D.VER]) for r in rows] == [
-            (("w1", "A"), True, 1),
-            (("w1", "C"), False, 2),
-        ]
+        change = Counter({("w1", "C"): 1, ("w1", "A"): -1})
+        rows = D.changelog_rows(change, ptime=t(8, 13), ver=1)  # A had ver 0
+        assert entries(rows) == [(("w1", "A"), True, 1), (("w1", "C"), False, 2)]
+        assert all(r[-2] == t(8, 13) for r in rows)
 
     def test_ver_counters_are_per_key(self):
-        old = {}
-        new = {
-            ("w1",): Counter({("w1", "A"): 1}),
-            ("w2",): Counter({("w2", "B"): 1}),
-        }
+        # The engine keeps one counter per group and advances it by the
+        # rows each pane emits.
+        pdf = pd.DataFrame({"k": ["w1", "w2", "w2"], "v": ["A", "B", "C"]})
         ver = defaultdict(int)
-        rows = D.changelog_rows(old, new, ptime=t(8, 0), ver_counters=ver)
-        assert all(r[D.VER] == 0 for r in rows)
+        for key, change in D.rows_by_key(pdf, ["k", "v"], ["k"]).items():
+            rows = D.changelog_rows(change, ptime=t(8, 0), ver=ver[key])
+            ver[key] += len(rows)
+            assert [r[-1] for r in rows] == list(range(len(rows)))
+        assert ver == {("w1",): 1, ("w2",): 2}
 
-    def test_keys_restriction(self):
-        new = {
-            ("w1",): Counter({("w1", "A"): 1}),
-            ("w2",): Counter({("w2", "B"): 1}),
-        }
-        rows = D.changelog_rows(
-            {}, new, ptime=t(8, 0), ver_counters=defaultdict(int), keys=[("w1",)]
-        )
-        assert [r["_row"] for r in rows] == [("w1", "A")]
+    def test_multiplicities(self):
+        rows = D.changelog_rows(Counter({(1,): 2, (2,): -3}), ptime=t(8, 0), ver=0)
+        assert entries(rows) == [
+            ((2,), True, 0), ((2,), True, 1), ((2,), True, 2),
+            ((1,), False, 3), ((1,), False, 4),
+        ]
 
     def test_no_change_no_rows(self):
-        state = {("w1",): Counter({("w1", "A"): 1})}
-        rows = D.changelog_rows(
-            state, state, ptime=t(8, 0), ver_counters=defaultdict(int)
-        )
-        assert rows == []
+        assert D.changelog_rows(Counter(), ptime=t(8, 0), ver=0) == []
+        # A change that cancelled out is no change.
+        assert D.changelog_rows(Counter({(1,): 0}), ptime=t(8, 0), ver=3) == []
 
     def test_keys_sorted_deterministically(self):
-        new = {
-            ("b",): Counter({("b", 1): 1}),
-            ("a",): Counter({("a", 1): 1}),
-        }
-        rows = D.changelog_rows({}, new, ptime=t(8, 0), ver_counters=defaultdict(int))
-        assert [r["_row"][0] for r in rows] == ["a", "b"]
+        change = Counter({("b", 1): 1, ("a", 1): 1, ("c", 1): -1})
+        rows = D.changelog_rows(change, ptime=t(8, 0), ver=0)
+        assert [r[0] for r in rows] == ["c", "a", "b"]
 
 
 class TestNullsFirst:
     def test_null_key_sorts_first(self):
-        # Two keys of one window change in the same step; one has a NULL
-        # item. Plain tuple comparison raises TypeError here.
-        new = {
-            ("w1", "A"): Counter({("w1", "A", 2): 1}),
-            ("w1", None): Counter({("w1", None, 1): 1}),
-        }
-        rows = D.changelog_rows({}, new, ptime=t(8, 0), ver_counters=defaultdict(int))
-        assert [r["_row"] for r in rows] == [("w1", None, 1), ("w1", "A", 2)]
+        # One window's change holds a row with a NULL item. Plain tuple
+        # comparison raises TypeError here.
+        change = Counter({("w1", "A", 2): 1, ("w1", None, 1): 1})
+        rows = D.changelog_rows(change, ptime=t(8, 0), ver=0)
+        assert [r[:3] for r in rows] == [("w1", None, 1), ("w1", "A", 2)]
 
     def test_null_rows_in_diff_and_integration(self):
-        rem, add = D.multiset_diff(Counter(), Counter({("a",): 1, (None,): 1}))
-        assert add == [(None,), ("a",)]
+        change = D.rows_by_key(pd.DataFrame({"v": ["a", None]}), ["v"], [])[()]
+        rows = D.changelog_rows(change, ptime=t(8, 0), ver=0)
+        assert [r[0] for r in rows] == [None, "a"]
         chg = pd.DataFrame(
             [("a", False, t(8, 0), 0), (None, False, t(8, 0), 1)],
             columns=["v", "undo", "ptime", "ver"],
@@ -136,21 +109,24 @@ class TestNanValues:
         return pd.DataFrame({"k": [1, 1, 2], "v": [float("nan"), 2.0, 3.0]})
 
     def test_recompute_of_nan_row_is_no_change(self):
-        old = D.rows_by_key(self.result(), ["k", "v"], ["k"])
-        new = D.rows_by_key(self.result(), ["k", "v"], ["k"])
-        assert old == new
-        assert old[(1,)] == Counter({(1, None): 1, (1, 2.0): 1})
-        rows = D.changelog_rows(old, new, ptime=t(8, 1), ver_counters=defaultdict(int))
-        assert rows == []
+        first = D.rows_by_key(self.result(), ["k", "v"], ["k"])
+        assert first[(1,)] == Counter({(1, None): 1, (1, 2.0): 1})
+        assert D.rows_by_key(self.result(), ["k", "v"], ["k"], prev=self.result()) == {}
 
     def test_nan_row_integrates_and_undoes(self):
         cols = ["k", "v"]
+        steps = [
+            (t(8, 1), D.rows_by_key(self.result(), cols, ["k"])),
+            (t(8, 2), D.rows_by_key(None, cols, ["k"], prev=self.result())),
+        ]
         ver = defaultdict(int)
-        state = D.rows_by_key(self.result(), cols, ["k"])
-        log = pd.concat([
-            D.changelog_to_pdf(D.changelog_rows({}, state, ptime=t(8, 1), ver_counters=ver), cols),
-            D.changelog_to_pdf(D.changelog_rows(state, {}, ptime=t(8, 2), ver_counters=ver), cols),
-        ], ignore_index=True)
+        rows = []
+        for ptime, delta in steps:
+            for key, change in delta.items():
+                new = D.changelog_rows(change, ptime=ptime, ver=ver[key])
+                ver[key] += len(new)
+                rows += new
+        log = D.changelog_to_pdf(rows, cols)
         table = D.integrate_changelog(log, cols, at=t(8, 1))
         assert table["v"].isna().tolist() == [True, False, False]
         assert len(D.integrate_changelog(log, cols)) == 0
@@ -158,10 +134,9 @@ class TestNanValues:
 
 class TestChangelogToPdf:
     def test_renders_metadata_columns(self):
-        rows = [{"_row": (1, "x"), D.UNDO: False, D.PTIME: t(8, 0), D.VER: 0}]
-        pdf = D.changelog_to_pdf(rows, ["k", "v"])
+        pdf = D.changelog_to_pdf([(1, "x", False, t(8, 0), 0)], ["k", "v"])
         assert list(pdf.columns) == ["k", "v", "undo", "ptime", "ver"]
-        assert pdf["undo"].dtype == bool
+        assert pdf["undo"].dtype == bool and pdf["ver"].dtype == "int64"
 
     def test_empty(self):
         pdf = D.changelog_to_pdf([], ["k"])
@@ -206,29 +181,42 @@ rows_st = st.lists(
 )
 
 
+def materialize(results):
+    """Emit the first result in one pane at 8:00, sum every later step's
+    change per key, emit that sum in one pane at 8:01, and integrate the
+    changelog (which raises on an undo of a row not present)."""
+    cols = ["k", "v"]
+    frames = [pd.DataFrame(r, columns=cols) for r in results]
+    pending = defaultdict(Counter)
+    for prev, pdf in zip(frames, frames[1:]):
+        for key, d in D.rows_by_key(pdf, cols, ["k"], prev).items():
+            pending[key].update(d)
+    rows, ver = [], defaultdict(int)
+    for ptime, delta in [(t(8, 0), D.rows_by_key(frames[0], cols, ["k"])), (t(8, 1), pending)]:
+        for key in sorted(delta):
+            new = D.changelog_rows(delta[key], ptime=ptime, ver=ver[key])
+            ver[key] += len(new)
+            rows += new
+    table = D.integrate_changelog(D.changelog_to_pdf(rows, cols), cols)
+    return [(int(k), v) for k, v in table.itertuples(index=False, name=None)]
+
+
 class TestDualityProperty:
     @given(rows_st, rows_st)
     @settings(max_examples=80, deadline=None)
     def test_diff_then_integrate_reconstructs_new_state(self, old_rows, new_rows):
-        """stream->table duality at the diff level: integrating (old state +
-        changelog(old, new)) always reconstructs new, for any multisets."""
-        cols = ["k", "v"]
-        old = D.rows_by_key(pd.DataFrame(old_rows, columns=cols), cols, ["k"])
-        new = D.rows_by_key(pd.DataFrame(new_rows, columns=cols), cols, ["k"])
-        rows = D.changelog_rows(old, new, ptime=t(8, 0), ver_counters=defaultdict(int))
-        state = Counter()
-        for key_state in old.values():
-            state.update(key_state)
-        for r in rows:
-            if r[D.UNDO]:
-                state[r["_row"]] -= 1
-            else:
-                state[r["_row"]] += 1
-        state = Counter({k: c for k, c in state.items() if c})
-        want = Counter()
-        for key_state in new.values():
-            want.update(key_state)
-        assert state == want
+        """stream->table duality at the diff level: integrating old plus the
+        changelog of its change to new always reconstructs new, for any
+        multisets."""
+        assert materialize([old_rows, new_rows]) == sorted(new_rows)
+
+    @given(rows_st, rows_st, rows_st)
+    @settings(max_examples=80, deadline=None)
+    def test_summed_changes_materialize_once(self, a, b, c):
+        """The engine's invariant: a group's pending change is the sum of
+        its step changes, so materializing the change a->b plus the change
+        b->c in one pane turns a into c."""
+        assert materialize([a, b, c]) == sorted(c)
 
     @given(rows_st, rows_st)
     @settings(max_examples=80, deadline=None)

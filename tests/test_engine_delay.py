@@ -2,6 +2,7 @@
 the combined early/on-time pattern."""
 from datetime import timedelta
 
+import pandas as pd
 import pytest
 
 from repro.core import EmitSpec, run_query
@@ -128,6 +129,32 @@ class TestCombined:
 
     def test_no_panes_after_freeze(self, combined_run):
         assert combined_run.stats["finalized_groups"] == 2
+
+    def test_ontime_pane_cancels_early_timer(self, spark):
+        """The on-time pane at 8:16 cancels window 1's early timer set at
+        8:15 for 8:21. A late bid (8:06, $7, L) at 8:17, within allowed
+        lateness, sets a new timer, so the late pane comes at 8:23."""
+        bids = ex.bid_log()
+        late = pd.DataFrame([(t(8, 17), t(8, 6), 7, "L")], columns=["ptime", *ex.BID_COLUMNS])
+        log = EventLog.from_pandas(
+            pd.concat([bids.arrivals_pdf(), late]), ptime_col="ptime",
+            etime_col="bidtime", watermarks=bids.watermark().updates,
+        )
+        r = run_query(
+            spark, {"bid": log}, make_q7(),
+            emit=EmitSpec(stream=True, after_watermark=True, after_delay=SIX,
+                          allowed_lateness=timedelta(minutes=10)),
+            **KW,
+        )
+        w1 = r.changelog[r.changelog["wend"] == t(8, 10)]
+        assert list(zip(w1["item"], w1["undo"], w1["ptime"], w1["ver"])) == [
+            ("C", False, t(8, 14), 0),
+            ("C", True, t(8, 16), 1),
+            ("D", False, t(8, 16), 2),
+            ("D", True, t(8, 23), 3),
+            ("L", False, t(8, 23), 4),
+        ]
+        assert r.stats["timer_fires"] == 3  # 8:14, 8:18, 8:23
 
 
 class TestValidationAndEdges:

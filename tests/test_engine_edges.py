@@ -47,6 +47,14 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="wend_col"):
             eng.run({"input": ex.bid_log()}, emit=EmitSpec(stream=True))
 
+    def test_metadata_column_name_rejected(self, spark):
+        # A result column named like a changelog column would overwrite it.
+        def q(spark_, bid):
+            return bid.selectExpr("item", "price AS ver")
+
+        with pytest.raises(ValueError, match="'ver'"):
+            run_query(spark, {"bid": ex.bid_log()}, q, emit=EmitSpec(stream=True))
+
     def test_empty_log_rejected(self, spark):
         empty = EventLog(["etime", "v"], etime_col="etime")
         with pytest.raises(ValueError, match="no inserts"):

@@ -195,7 +195,9 @@ def test_late_rows_dropped_exactly(spark, seed, spec, lateness):
     """A row is kept iff its window's end plus allowed lateness is after the
     watermark in force just before it arrives. The final table is the count
     over the kept rows (under AFTER WATERMARK alone, of the windows the
-    final watermark completes), and drops are counted iff a row is dropped."""
+    final watermark completes), and drops are counted iff a row is dropped.
+    Each group's ``ver`` runs 0..k-1 in emission order, and the changelog
+    integrates at every ptime of the run."""
     log = _watermark_violating_log(seed)
     emit = EmitSpec(allowed_lateness=timedelta(minutes=lateness), **spec)
     r = run_query(
@@ -215,3 +217,7 @@ def test_late_rows_dropped_exactly(spark, seed, spec, lateness):
         want = want[want["wend"] <= log.watermark().updates[-1][1]]
     assert_pdf_equal(r.table(), want, ordered=False)
     assert (r.stats["dropped_late_rows"] == 0) == all(kept)
+    for _, group_rows in r.changelog.groupby(["wstart", "wend"]):
+        assert list(group_rows["ver"]) == list(range(len(group_rows)))
+    for at in sorted(set(log.ptimes()) | set(r.changelog["ptime"])):
+        r.table(at=at)  # raises on an undo of a row not present

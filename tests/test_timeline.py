@@ -37,6 +37,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="missing columns"):
             log.insert(t(8, 0), a=1)
 
+    def test_keyword_insert_unknown_column(self):
+        # A misspelt column must not be dropped silently.
+        log = EventLog(["a", "b"])
+        with pytest.raises(ValueError, match=r"unknown columns: \['bb'\]"):
+            log.insert(t(8, 0), a=1, b=2, bb=3)
+
     def test_wrong_arity(self):
         log = EventLog(["a", "b"])
         with pytest.raises(ValueError, match="expected"):
