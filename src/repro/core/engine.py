@@ -2,23 +2,13 @@
 
 This is the Structured-Streaming analog at the center of the reproduction:
 a deterministic micro-batch evaluator for continuous queries over
-time-varying relations. For every processing-time step in the scripted
-input timeline it
-
-1. takes each input TVR's snapshot as the prefix ``ptime <= t`` of its
-   arrivals, which are shipped to Spark once per run and pinned there,
-2. runs the user's relational query through Catalyst,
-3. diffs the collected result against the previous one and adds each
-   changed event-time group's change to that group's pending change, a
-   signed multiset of rows (``repro.core.diff``), and
-4. applies the query's :class:`~repro.core.emit.EmitSpec` to decide *when*
-   a group's pending change materializes (Extensions 4–7) and when groups
-   complete and release state (Extension 2).
-
-Per-group state is only the pending change, the next ``ver``, a pending
-delay timer and membership in the live set; the result's current value is
-never held. Timers fire from a FIFO in the order they were set, since
-every timer has the same delay and steps run in ptime order.
+time-varying relations. Its *change source* (:class:`_Changes`) reruns the
+query through Catalyst at every processing time at which an input inserts
+rows and diffs each result against the previous one (§3.1). Its *EMIT state
+machine* (:func:`_emit`) never calls Spark: from those changes and the
+watermark advances it decides, per the query's ``EmitSpec``, when a group's
+changes materialize (Extensions 4–7) and when groups complete and release
+state (Extension 2).
 
 Real Structured Streaming derives its watermark from observed max event
 time minus a fixed delay; the paper's listings instead script an explicit
@@ -37,10 +27,12 @@ once, at the step where it happens.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from itertools import chain, islice
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Sequence, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -52,6 +44,7 @@ from .timeline import PTIME, EventLog
 from .watermark import Watermark
 
 QueryFn = Callable[..., DataFrame]
+Change = Tuple[pd.Timestamp, Dict[tuple, Counter]]  # (ptime, {key: signed row counts})
 
 
 @dataclass
@@ -117,176 +110,184 @@ class TvrEngine:
         if wend_col is not None and key_cols is not None and wend_col not in key_cols:
             raise ValueError("wend_col must be one of key_cols")
 
-    # -- the run loop -----------------------------------------------------
-
     def run(
-        self,
-        logs: Mapping[str, EventLog],
-        emit: EmitSpec = EmitSpec(),
-        until=None,
+        self, logs: Mapping[str, EventLog], emit: EmitSpec = EmitSpec(), until=None
     ) -> StreamResult:
         """Replay the inputs' event timeline up to ``until`` (inclusive;
         default: end of input) under the given emit spec. ``logs`` maps
         each query argument name to its input log."""
         until = None if until is None else pd.Timestamp(until)
-        with _snapshots(self.spark, logs) as snapshots:
-            return self._replay(snapshots, logs, emit, until)
+        # Every input's advance is a step; the watermark is their min (hold-back, §5).
+        marks = {name: log.watermark() for name, log in logs.items()}
+        held = [marks[n] for n, log in logs.items() if log.etime_col is not None]
+        effective = reduce(Watermark.combine_min, held) if held else Watermark()
+        ptimes = sorted({p for m in marks.values() for p, _ in m.updates})
+        advances = [(p, effective.at(p)) for p in ptimes]
+        source = _Changes(self, logs, until)
+        with closing(iter(source)) as steps:
+            first = list(islice(steps, 1))  # fixes the key columns and wend
+            entries, stats = _emit(chain(first, steps), advances, emit, until, source.wend)
+        changelog = D.changelog_to_pdf(entries, source.columns)
+        return StreamResult(source.columns, emit, changelog, stats)
 
-    def _replay(self, snapshots, logs, emit, until) -> StreamResult:
-        # The agenda: every distinct ptime at which some input inserts rows
-        # or advances its watermark. Each log applies its inserts at a ptime
-        # before its watermark advance there.
-        inserted: set = set()
-        advances: set = set()
-        for log in logs.values():
-            inserted.update(pd.DatetimeIndex(log.arrivals_pdf(until)[PTIME].unique()))
-            advances.update(
-                p for p, _ in log.watermark().updates if until is None or p <= until
-            )
-        agenda = sorted(inserted | advances)
 
-        # The effective watermark is the pointwise min over the watermarked
-        # inputs (hold-back, §5).
-        marks = [log.watermark() for log in logs.values() if log.etime_col is not None]
-        effective = reduce(Watermark.combine_min, marks) if marks else Watermark()
-        wm: Optional[pd.Timestamp] = None
-        horizon: Optional[pd.Timestamp] = None  # wm less allowed lateness
+class _Changes:
+    """The per-step change source of one run. At every insert ptime ``t`` up
+    to ``until`` it runs the query over the inputs' snapshots at ``t`` and
+    yields ``(t, delta)``, the result's change since the previous step
+    (:func:`~repro.core.diff.rows_by_key`; empty if none). The first result
+    fixes ``columns``, the key and ``wend``, the position of ``wend_col`` in it."""
 
-        # Per-group state, held until the group is closed and its timer has
-        # fired: the change not yet materialized (signed row counts), the
-        # next ``ver``, the delay timer. Its (fire time, key) FIFO entries
-        # are appended in key order, so timers due together fire by key.
-        columns: Optional[List[str]] = None
-        key_cols: Optional[List[str]] = self.key_cols
-        prev: Optional[pd.DataFrame] = None  # the last collected result
-        pending: Dict[tuple, Counter] = defaultdict(Counter)
-        ver: Dict[tuple, int] = defaultdict(int)
-        timers: Dict[tuple, pd.Timestamp] = {}
-        fifo: deque = deque()
-        live: set = set()  # held groups that are not closed
-        entries: List[tuple] = []
-        stats = dict.fromkeys([
-            "steps", "recomputes", "emitted_rows", "dropped_late_rows",
-            "finalized_groups", "max_live_groups", "timer_fires",
-        ], 0)
+    def __init__(self, engine: TvrEngine, logs: Mapping[str, EventLog], until):
+        self.engine, self.logs, self.until = engine, logs, until
+        self.columns: List[str] = []
+        self.wend: Optional[int] = None
 
-        def materialize(key: tuple, ptime: pd.Timestamp) -> None:
-            """Emit key's pending change at ptime."""
-            rows = D.changelog_rows(pending.pop(key, {}), ptime=ptime, ver=ver[key])
-            entries.extend(rows)
-            stats["emitted_rows"] += len(rows)
-            ver[key] += len(rows)
-
-        def passed(key: tuple, mark: Optional[pd.Timestamp]) -> bool:
-            """Whether event time ``mark`` has reached key's wend. A group is
-            complete once the watermark ``wm`` passes it, and closed once
-            ``horizon``, the watermark less allowed lateness, does."""
-            if mark is None or self.wend_col is None:
-                return False
-            we = key[key_cols.index(self.wend_col)]
-            return we is not None and pd.Timestamp(we) <= mark
-
-        ai = 0  # agenda index
-        while ai < len(agenda) or fifo:
-            t = min(agenda[ai:ai + 1] + ([fifo[0][0]] if fifo else []))
-            stats["steps"] += 1
-            if ai < len(agenda) and agenda[ai] == t:
-                ai += 1
-
-            # 1. Recompute the result relation iff the input changed, and
-            # add its change since the last recompute to the pending change
-            # of the groups it touches. A change to a closed group is late:
-            # it is dropped and counted once, here.
-            changed: set = set()  # groups changed at t and not yet emitted
-            if t in inserted:
-                stats["recomputes"] += 1
-                pdf = self.query(self.spark, **snapshots(t)).toPandas()
-                if columns is None:
-                    columns = list(pdf.columns)
-                    clash = [c for c in columns if c in D.META_COLS]
+    def __iter__(self) -> Iterator[Change]:
+        eng, prev, key_cols = self.engine, None, self.engine.key_cols
+        with _snapshots(eng.spark, self.logs) as (snapshots, ptimes):
+            for t in (p for p in ptimes if self.until is None or p <= self.until):
+                pdf = eng.query(eng.spark, **snapshots(t)).toPandas()
+                if prev is None:
+                    self.columns = cols = list(pdf.columns)
+                    clash = [c for c in cols if c in D.META_COLS]
                     if clash:
                         raise ValueError(f"result column {clash[0]!r} is a changelog column")
-                    if key_cols is None:
-                        key_cols = list(columns)
-                    if self.wend_col is not None and self.wend_col not in key_cols:
-                        raise ValueError(
-                            f"wend_col {self.wend_col!r} not in key columns {key_cols}"
-                        )
-                delta = D.rows_by_key(pdf, columns, key_cols, prev)
+                    key_cols = cols if key_cols is None else key_cols
+                    wend = eng.wend_col
+                    if wend is not None and wend not in key_cols:
+                        raise ValueError(f"wend_col {wend!r} not in key columns {key_cols}")
+                    self.wend = None if wend is None else key_cols.index(wend)
+                yield t, D.rows_by_key(pdf, self.columns, key_cols, prev)
                 prev = pdf
-                for key, d in delta.items():
-                    if passed(key, horizon):
-                        stats["dropped_late_rows"] += sum(map(abs, d.values()))
-                        continue
-                    pending[key].update(d)
-                    changed.add(key)
-                live |= changed
 
-            # 2. Fire delay timers due at t (they see the batch applied at t).
-            # A closed group still materializes its last change, then is
-            # released.
-            while fifo and fifo[0][0] <= t:
-                ft, key = fifo.popleft()
-                if timers.get(key) != ft:
-                    continue  # cancelled by an on-time pane
-                del timers[key]
-                stats["timer_fires"] += 1
-                materialize(key, t)
-                changed.discard(key)
+
+def _emit(
+    changes: Iterable[Change], advances: Iterable[tuple], emit: EmitSpec, until, wend
+) -> Tuple[List[tuple], Dict[str, object]]:
+    """The EMIT state machine: materialize a result TVR, given as its
+    ``changes`` and its ``advances`` ``(ptime, effective watermark)``, each
+    in ptime order, under ``emit``; at one ptime the change comes first.
+    ``wend`` is the position of a group's event-time upper bound in its key
+    (``None``: no group completes). Nothing after ``until`` is processed.
+    Returns the changelog entries in emission order and the run stats.
+
+    Per-group state is the change not yet materialized (nonzero signed row
+    counts), the next ``ver``, the delay timer and membership in ``live``.
+    Timer FIFO entries ``(fire time, key)`` are appended in key order, and
+    all timers have one delay, so the FIFO fires them in time, then key order."""
+    wm: Optional[pd.Timestamp] = None
+    horizon: Optional[pd.Timestamp] = None  # wm less allowed lateness
+    pending: Dict[tuple, Counter] = defaultdict(Counter)
+    ver: Dict[tuple, int] = defaultdict(int)
+    timers: Dict[tuple, pd.Timestamp] = {}
+    fifo: deque = deque()
+    live: set = set()  # held groups that are not closed
+    entries: List[tuple] = []
+    stats = dict.fromkeys(("steps recomputes emitted_rows dropped_late_rows "
+                           "finalized_groups max_live_groups timer_fires").split(), 0)
+
+    def materialize(key: tuple, ptime: pd.Timestamp) -> None:
+        """Emit key's pending change at ptime."""
+        rows = D.changelog_rows(pending.pop(key, {}), ptime=ptime, ver=ver[key])
+        entries.extend(rows)
+        stats["emitted_rows"] += len(rows)
+        ver[key] += len(rows)
+
+    def passed(key: tuple, mark: Optional[pd.Timestamp]) -> bool:
+        """Whether event time ``mark`` has reached key's wend. A group is
+        complete once the watermark ``wm`` passes it, and closed once
+        ``horizon``, the watermark less allowed lateness, does."""
+        we = None if mark is None or wend is None else key[wend]
+        return we is not None and pd.Timestamp(we) <= mark
+
+    def keep(key: tuple) -> bool:
+        """Whether key still needs state: a timer or, unless it is closed, a
+        pending change or an emitted pane. A key that needs none is forgotten."""
+        if key in timers or not passed(key, horizon) and (pending.get(key) or ver.get(key)):
+            return True
+        pending.pop(key, None)
+        ver.pop(key, None)
+        live.discard(key)
+        return False
+
+    changes, advances = iter(changes), iter(advances)
+    (tc, delta), (ta, mark) = next(changes, (None, None)), next(advances, (None, None))
+    while tc or ta or fifo:
+        t = min(h for h in (tc, ta, fifo and fifo[0][0]) if h)
+        if until is not None and t > until:
+            break
+        stats["steps"] += 1
+
+        # 1. Add the change at t to the pending change of the groups it
+        # touches. A change to a closed group is late: it is dropped and
+        # counted once, here.
+        changed: set = set()  # groups changed at t and not yet emitted
+        if tc == t:
+            stats["recomputes"] += 1
+            for key, d in delta.items():
                 if passed(key, horizon):
-                    del ver[key]  # released
+                    stats["dropped_late_rows"] += sum(map(abs, d.values()))
+                    continue
+                change = pending[key]
+                change.update(d)
+                for row in [r for r in d if not change[r]]:
+                    del change[row]
+                if keep(key):
+                    changed.add(key)
+            live |= changed
+            tc, delta = next(changes, (None, None))
 
-            # 3. Continuous / immediate emissions for changed groups.
-            if emit.continuous:
-                for key in sorted(changed, key=D.nulls_first):
+        # 2. Fire delay timers due at t (they see the change applied at t).
+        # A closed group still materializes its last change, then is
+        # forgotten.
+        while fifo and fifo[0][0] <= t:
+            ft, key = fifo.popleft()
+            if timers.get(key) != ft:
+                continue  # cancelled by an on-time pane
+            del timers[key]
+            stats["timer_fires"] += 1
+            materialize(key, t)
+            changed.discard(key)
+            keep(key)
+
+        # 3. Delay timers or immediate emissions for changed groups.
+        for key in sorted(changed, key=D.nulls_first):
+            if emit.after_delay is not None:
+                if key not in timers:
+                    timers[key] = t + emit.after_delay
+                    fifo.append((timers[key], key))
+            elif emit.continuous or passed(key, wm):
+                # Under AFTER WATERMARK, a late pane (only reachable with
+                # allowed_lateness > 0): a complete group that is not closed.
+                materialize(key, t)
+
+        # 4. Watermark advances: on-time panes for groups it completes,
+        # then release of groups it closes.
+        if ta == t:
+            prior, wm = wm, mark
+            horizon = None if wm is None else wm - emit.allowed_lateness
+            for key in sorted(live, key=D.nulls_first):
+                if emit.after_watermark and passed(key, wm) and not passed(key, prior):
                     materialize(key, t)
-            elif emit.after_delay is not None:
-                for key in sorted(changed, key=D.nulls_first):
-                    if key not in timers:
-                        # A timer due after ``until`` is recorded but never fires.
-                        ft = timers[key] = t + emit.after_delay
-                        if until is None or ft <= until:
-                            fifo.append((ft, key))
-            elif emit.after_watermark:
-                # Late panes (only reachable with allowed_lateness > 0): a
-                # complete group that is not closed emits changes at once.
-                for key in sorted(changed, key=D.nulls_first):
-                    if passed(key, wm):
-                        materialize(key, t)
+                    timers.pop(key, None)  # it supersedes a pending early pane
+                if passed(key, horizon):
+                    stats["finalized_groups"] += 1
+                    live.discard(key)
+                keep(key)
+            ta, mark = next(advances, (None, None))
 
-            # 4. Watermark advances: on-time panes for groups it completes,
-            # then release of groups it closes.
-            if t in advances:
-                prior, wm = wm, effective.at(t)
-                horizon = None if wm is None else wm - emit.allowed_lateness
-                for key in sorted(live, key=D.nulls_first):
-                    if emit.after_watermark and passed(key, wm) and not passed(key, prior):
-                        materialize(key, t)
-                        # On-time pane supersedes a pending early pane.
-                        timers.pop(key, None)
-                    if passed(key, horizon):
-                        stats["finalized_groups"] += 1
-                        live.discard(key)
-                        if key not in timers:
-                            ver.pop(key, None)  # released: nothing is pending
+        stats["max_live_groups"] = max(stats["max_live_groups"], len(live))
 
-            stats["max_live_groups"] = max(stats["max_live_groups"], len(live))
-
-        stats["final_live_groups"] = len(live)
-        stats["final_watermark"] = wm
-        columns = columns or []
-        return StreamResult(columns, emit, D.changelog_to_pdf(entries, columns), stats)
+    stats["final_live_groups"] = len(live)
+    stats["final_watermark"] = wm
+    return entries, stats
 
 
 def run_query(
-    spark: SparkSession,
-    logs: Mapping[str, EventLog],
-    query: QueryFn,
-    *,
-    emit: EmitSpec = EmitSpec(),
-    key_cols: Optional[Sequence[str]] = None,
-    wend_col: Optional[str] = None,
-    until=None,
+    spark: SparkSession, logs: Mapping[str, EventLog], query: QueryFn, *,
+    emit: EmitSpec = EmitSpec(), key_cols: Optional[Sequence[str]] = None,
+    wend_col: Optional[str] = None, until=None,
 ) -> StreamResult:
     """One-shot convenience wrapper around :class:`TvrEngine`."""
     eng = TvrEngine(spark, query, key_cols=key_cols, wend_col=wend_col)
@@ -294,10 +295,7 @@ def run_query(
 
 
 def snapshot_query(
-    spark: SparkSession,
-    logs: Mapping[str, EventLog],
-    query: QueryFn,
-    at=None,
+    spark: SparkSession, logs: Mapping[str, EventLog], query: QueryFn, at=None
 ) -> pd.DataFrame:
     """Classic instantaneous-view semantics: run the query once over the
     inputs' snapshots at processing time ``at`` — no completeness
@@ -305,24 +303,24 @@ def snapshot_query(
     continuous table view is tested against (they agree absent late data).
     The result is collected, as a pandas frame, before the inputs are
     released from Spark."""
-    with _snapshots(spark, logs) as snapshots:
+    with _snapshots(spark, logs) as (snapshots, _):
         return query(spark, **snapshots(at)).toPandas()
 
 
 @contextmanager
-def _snapshots(
-    spark: SparkSession, logs: Mapping[str, EventLog]
-) -> Iterator[Callable[[object], Dict[str, DataFrame]]]:
-    """Yield ``at -> {name: snapshot DataFrame}``: the prefix ``ptime <= at``
-    of each input's arrivals (a TVR is one relation per ptime, §3.1). Each
-    input is shipped once, ``ptime`` as int64 ns and its schema inferred from
-    all of its inserts, and pinned by ``localCheckpoint``, so steps scan it
-    instead of a ``LocalRelation`` that Catalyst evaluates on the driver and
-    every task re-ships. The pin is lazy: the first step's job stores the
-    blocks, which saves a job per run. The pins are released on exit, also
-    on error."""
+def _snapshots(spark: SparkSession, logs: Mapping[str, EventLog]) -> Iterator[tuple]:
+    """Yield ``at -> {name: snapshot DataFrame}``, the prefix ``ptime <= at``
+    of each input's arrivals (a TVR is one relation per ptime, §3.1), and
+    the sorted distinct ptimes of all inserts. Each input is shipped once,
+    ``ptime`` as int64 ns and its schema inferred from all of its inserts,
+    and pinned by ``localCheckpoint``, so steps scan it instead of a
+    ``LocalRelation`` that Catalyst evaluates on the driver and every task
+    re-ships. The pin is lazy: the first step's job stores the blocks,
+    which saves a job per run. The pins are released on exit, also on
+    error."""
     require_utc(spark)
     pinned: Dict[str, DataFrame] = {}
+    inserted: set = set()
     try:
         for name, log in logs.items():
             arrivals = log.arrivals_pdf()
@@ -330,6 +328,7 @@ def _snapshots(
                 raise ValueError(
                     f"input log {name!r} has no inserts; cannot infer a Spark schema"
                 )
+            inserted.update(pd.DatetimeIndex(arrivals[PTIME].unique()))
             arrivals[PTIME] = arrivals[PTIME].to_numpy("datetime64[ns]").view("int64")
             pinned[name] = spark.createDataFrame(arrivals).localCheckpoint(eager=False)
 
@@ -338,7 +337,7 @@ def _snapshots(
             keep = "true" if at is None else f"{PTIME} <= {pd.Timestamp(at).value}"
             return pinned[name].where(keep).select(*logs[name].columns)
 
-        yield lambda at: {name: snapshot(name, at) for name in pinned}
+        yield (lambda at: {name: snapshot(name, at) for name in pinned}), sorted(inserted)
     finally:
         for df in pinned.values():
             df._jdf.queryExecution().analyzed().rdd().unpersist(False)

@@ -3,9 +3,7 @@
 Implements the semantics of the Stanford STREAM system's CQL dialect that
 the paper contrasts against: heartbeat-based in-order buffering of
 out-of-order input, the stream-to-relation ``[RANGE r SLIDE s]`` window,
-and the relation-to-stream operator ``Rstream``.
+and CQL Q7, whose ``Rstream`` emits every row of every instantaneous
+relation of the window's history.
 """
-from .heartbeat import reorder_with_heartbeat  # noqa: F401
-from .operators import rstream  # noqa: F401
-from .relations import range_slide_history  # noqa: F401
 from .q7 import cql_q7  # noqa: F401

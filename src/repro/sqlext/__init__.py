@@ -7,6 +7,5 @@ to plain Spark SQL plus an :class:`~repro.core.emit.EmitSpec`, executed by
 the TVR engine. The paper's Listing 2 text runs verbatim through this
 layer and reproduces Listings 3, 4, 9 and 13.
 """
-from .executor import run_extended_sql, sql_query_fn  # noqa: F401
-from .parser import parse_emit_clause, parse_interval, split_emit  # noqa: F401
+from .executor import run_extended_sql  # noqa: F401
 from .rewrite import rewrite_extended_sql  # noqa: F401

@@ -1,11 +1,10 @@
-"""CQL's stream-to-relation window and Rstream (§2.1.1), checked against
-their definitional semantics and the DuckDB oracle."""
+"""CQL's stream-to-relation window (§2.1.1), checked against its
+definitional semantics and the DuckDB oracle."""
 from datetime import timedelta
 
 import pandas as pd
 import pytest
 
-from repro.cql.operators import rstream
 from repro.cql.relations import TAU, range_slide_history
 from repro.nexmark import example as ex
 from repro.oracle import assert_equivalent
@@ -75,7 +74,3 @@ class TestRangeSlide:
             bid=ex.bid_log().snapshot_pdf(),
         )
 
-
-class TestRstream:
-    def test_identity(self, hist10):
-        assert rstream(hist10) is hist10

@@ -207,6 +207,36 @@ class TestStateRelease:
         assert r.stats["finalized_groups"] == 0
         assert r.stats["final_live_groups"] == 2
 
+    def test_vanished_group_holds_no_state(self, spark):
+        """Under the non-monotone ``HAVING max(price) < 5``, windows [8:00,
+        8:10) and [8:30, 8:40) appear and vanish again before any pane. They
+        hold nothing, so they are neither live nor finalized."""
+        log = EventLog(ex.BID_COLUMNS, etime_col="bidtime")
+        log.insert(t(8, 1), t(8, 1), 2, "A")
+        log.insert(t(8, 2), t(8, 31), 1, "B")
+        for etime, price, item in [(t(8, 2), 7, "C"), (t(8, 32), 9, "D"),
+                                   (t(8, 12), 1, "E"), (t(8, 25), 3, "F")]:
+            log.insert(t(8, 3), etime, price, item)
+        log.watermark_to(t(8, 15), t(8, 10))
+        log.watermark_to(t(8, 22), t(8, 20))
+
+        def q_cheap(spark_, bid):
+            return tumble(bid, "bidtime", timedelta(minutes=10)).groupBy(
+                "wstart", "wend"
+            ).agg(F.max("price").alias("top")).where("top < 5")
+
+        r = run_query(
+            spark, {"bid": log}, q_cheap,
+            emit=EmitSpec(stream=True, after_watermark=True), **KW,
+        )
+        assert list(r.changelog["wstart"]) == [t(8, 10)]
+        assert list(r.changelog["ptime"]) == [t(8, 22)]
+        # Live after 8:03: [8:10, 8:20) and [8:20, 8:30); the parent's
+        # zero-count entries also kept the two vanished windows.
+        assert r.stats["max_live_groups"] == 2
+        assert r.stats["finalized_groups"] == 1
+        assert r.stats["final_live_groups"] == 1
+
 
 class TestTableModeAfterWatermark:
     def test_non_stream_spec_same_materialization(self, spark):
