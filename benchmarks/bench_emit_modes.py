@@ -14,7 +14,7 @@ from repro.nexmark.generator import bid_event_log
 from repro.nexmark.perf import hot_counts_query
 
 N, BATCHES = 50_000, 12
-KW = dict(key_cols=["wstart", "wend", "item"], wend_col="wend")
+KW = dict(key_cols=["wstart", "wend", "item"])
 DUR = timedelta(minutes=10)
 
 

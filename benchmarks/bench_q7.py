@@ -30,7 +30,6 @@ def _proposed(spark, log):
     return run_query(
         spark, {"bid": log}, make_q7(),
         emit=EmitSpec(stream=True, after_watermark=True),
-        key_cols=["wstart", "wend"], wend_col="wend",
     )
 
 

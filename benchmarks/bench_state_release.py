@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import EmitSpec, run_query
 from repro.nexmark.generator import bid_event_log
-from repro.nexmark.perf import hot_counts_query
+from repro.nexmark.perf import hot_counts_query, untag_wend
 
 N, BATCHES = 50_000, 16
 DUR = timedelta(minutes=5)
@@ -26,13 +26,9 @@ def log():
 @pytest.fixture(scope="module")
 def results(spark, log):
     q = hot_counts_query(DUR)
-    with_wm = run_query(
-        spark, {"bid": log}, q, emit=EmitSpec(stream=True),
-        key_cols=KEYS, wend_col="wend",
-    )
+    with_wm = run_query(spark, {"bid": log}, q, emit=EmitSpec(stream=True), key_cols=KEYS)
     without = run_query(
-        spark, {"bid": log}, q, emit=EmitSpec(stream=True),
-        key_cols=KEYS, wend_col=None,
+        spark, {"bid": log}, untag_wend(q), emit=EmitSpec(stream=True), key_cols=KEYS
     )
     return with_wm, without
 
@@ -62,7 +58,7 @@ def test_bench_with_watermark_release(benchmark, spark, log):
     r = benchmark.pedantic(
         lambda: run_query(
             spark, {"bid": log}, hot_counts_query(DUR),
-            emit=EmitSpec(stream=True), key_cols=KEYS, wend_col="wend",
+            emit=EmitSpec(stream=True), key_cols=KEYS,
         ),
         rounds=1, iterations=1,
     )
@@ -73,8 +69,8 @@ def test_bench_with_watermark_release(benchmark, spark, log):
 def test_bench_without_watermark_release(benchmark, spark, log):
     r = benchmark.pedantic(
         lambda: run_query(
-            spark, {"bid": log}, hot_counts_query(DUR),
-            emit=EmitSpec(stream=True), key_cols=KEYS, wend_col=None,
+            spark, {"bid": log}, untag_wend(hot_counts_query(DUR)),
+            emit=EmitSpec(stream=True), key_cols=KEYS,
         ),
         rounds=1, iterations=1,
     )

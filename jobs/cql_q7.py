@@ -28,8 +28,6 @@ def main(spark) -> None:
         {"bid": ex.bid_log()},
         make_q7(),
         emit=EmitSpec(stream=True, after_watermark=True),
-        key_cols=["wstart", "wend"],
-        wend_col="wend",
     )
     proposed = (
         ours.changelog[~ours.changelog["undo"]][["wend", "price", "item", "ptime"]]

@@ -22,8 +22,6 @@ def main(spark) -> None:
         {"bid": ex.bid_log()},
         make_q7(),
         emit=EmitSpec(stream=True, after_delay=timedelta(minutes=6)),
-        key_cols=["wstart", "wend"],
-        wend_col="wend",
     )
     show(
         "T10 / Listing 14 — EMIT STREAM AFTER DELAY INTERVAL '6' MINUTES",

@@ -16,14 +16,7 @@ from repro.session import build_session  # noqa: E402
 
 
 def main(spark) -> None:
-    r = run_query(
-        spark,
-        {"bid": ex.bid_log()},
-        make_q7(),
-        emit=EmitSpec(stream=True),
-        key_cols=["wstart", "wend"],
-        wend_col="wend",
-    )
+    r = run_query(spark, {"bid": ex.bid_log()}, make_q7(), emit=EmitSpec(stream=True))
     show("T7 / Listing 9 — EMIT STREAM changelog", ex.LISTING_9, r.changelog)
     print(f"\nengine stats: {r.stats}")
 

@@ -21,8 +21,6 @@ def main(spark) -> None:
         {"bid": ex.bid_log()},
         make_q7(),
         emit=EmitSpec(stream=True, after_watermark=True),
-        key_cols=["wstart", "wend"],
-        wend_col="wend",
     )
     show("T8 / Listing 10 — EMIT AFTER WATERMARK at 8:13",
          sort_table(ex.LISTING_10), sort_table(r.table(at=ex.t(8, 13))))

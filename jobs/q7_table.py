@@ -16,14 +16,7 @@ from repro.session import build_session  # noqa: E402
 
 
 def main(spark) -> None:
-    r = run_query(
-        spark,
-        {"bid": ex.bid_log()},
-        make_q7(),
-        emit=EmitSpec(stream=True),
-        key_cols=["wstart", "wend"],
-        wend_col="wend",
-    )
+    r = run_query(spark, {"bid": ex.bid_log()}, make_q7(), emit=EmitSpec(stream=True))
     show(
         "T1 / Listing 3 — Q7 at 8:21 (full dataset)",
         sort_table(ex.LISTING_3),

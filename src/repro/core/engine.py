@@ -42,6 +42,7 @@ from . import diff as D
 from .emit import EmitSpec
 from .timeline import PTIME, EventLog
 from .watermark import Watermark
+from .windows import WEND, WINDOW_TAG
 
 QueryFn = Callable[..., DataFrame]
 Change = Tuple[pd.Timestamp, Dict[tuple, Counter]]  # (ptime, {key: signed row counts})
@@ -86,13 +87,13 @@ class TvrEngine:
         per micro-batch that contains new input.
     key_cols:
         Result columns identifying an *event-time grouping* (``ver`` in the
-        changelog is sequenced per group, Extension 4). ``None`` means each
-        whole result row is its own group.
+        changelog is sequenced per group, Extension 4). ``None`` means the
+        window columns ``tumble``/``hop`` tagged, else each whole row.
     wend_col:
-        The result column holding each group's event-time upper bound; a
-        group is complete once the watermark reaches it (Extension 2).
-        ``None`` disables completeness reasoning (no finalization — the
-        configuration benchmarked as "unbounded state" in P2).
+        Overrides the key column holding each group's event-time upper
+        bound, by default the tagged ``wend``; a group is complete once the
+        watermark reaches it (Extension 2). With none, no group completes
+        (P2's "unbounded state"); two tagged ``wend`` key columns raise.
     """
 
     def __init__(
@@ -135,8 +136,8 @@ class _Changes:
     """The per-step change source of one run. At every insert ptime ``t`` up
     to ``until`` it runs the query over the inputs' snapshots at ``t`` and
     yields ``(t, delta)``, the result's change since the previous step
-    (:func:`~repro.core.diff.rows_by_key`; empty if none). The first result
-    fixes ``columns``, the key and ``wend``, the position of ``wend_col`` in it."""
+    (:func:`~repro.core.diff.rows_by_key`; empty if none). The first result's
+    schema fixes ``columns``, the key and ``wend``, the completeness column's index."""
 
     def __init__(self, engine: TvrEngine, logs: Mapping[str, EventLog], until):
         self.engine, self.logs, self.until = engine, logs, until
@@ -147,17 +148,27 @@ class _Changes:
         eng, prev, key_cols = self.engine, None, self.engine.key_cols
         with _snapshots(eng.spark, self.logs) as (snapshots, ptimes):
             for t in (p for p in ptimes if self.until is None or p <= self.until):
-                pdf = eng.query(eng.spark, **snapshots(t)).toPandas()
+                df = eng.query(eng.spark, **snapshots(t))
                 if prev is None:
-                    self.columns = cols = list(pdf.columns)
+                    self.columns = cols = df.columns
                     clash = [c for c in cols if c in D.META_COLS]
                     if clash:
                         raise ValueError(f"result column {clash[0]!r} is a changelog column")
-                    key_cols = cols if key_cols is None else key_cols
+                    # Defaults: the window columns tumble/hop tagged, and their wend.
+                    tags = {f.name: f.metadata.get(WINDOW_TAG) for f in df.schema.fields}
+                    if key_cols is None:
+                        key_cols = [c for c in cols if tags[c]] or cols
                     wend = eng.wend_col
+                    if wend is None:
+                        ends = [c for c in key_cols if tags.get(c) == WEND]
+                        if len(ends) > 1:
+                            msg = f"tagged wend key columns {ends}; pass wend_col"
+                            raise ValueError(msg)
+                        wend = next(iter(ends), None)
                     if wend is not None and wend not in key_cols:
                         raise ValueError(f"wend_col {wend!r} not in key columns {key_cols}")
                     self.wend = None if wend is None else key_cols.index(wend)
+                pdf = df.toPandas()
                 yield t, D.rows_by_key(pdf, self.columns, key_cols, prev)
                 prev = pdf
 
@@ -289,7 +300,8 @@ def run_query(
     emit: EmitSpec = EmitSpec(), key_cols: Optional[Sequence[str]] = None,
     wend_col: Optional[str] = None, until=None,
 ) -> StreamResult:
-    """One-shot convenience wrapper around :class:`TvrEngine`."""
+    """One-shot :class:`TvrEngine` run; by default the tagged window columns
+    group the result, and ``wend_col`` overrides its completeness column."""
     eng = TvrEngine(spark, query, key_cols=key_cols, wend_col=wend_col)
     return eng.run(logs, emit=emit, until=until)
 

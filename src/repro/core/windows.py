@@ -15,6 +15,10 @@ The SQL-text builders (``tumble_sql``/``hop_sql``) are shared with the
 dialect front end (``repro.sqlext``), so the paper's verbatim TVF syntax and
 the programmatic API provably rewrite to the same Catalyst expressions.
 Windows are second-granular; the paper's examples use whole minutes.
+
+``tumble``/``hop`` tag ``wstart``/``wend`` in Spark column metadata (key
+:data:`WINDOW_TAG`, value the name), as ``EventTimeWatermark`` marks its
+columns; the engine reads a result's grouping off its schema.
 """
 from __future__ import annotations
 
@@ -28,6 +32,15 @@ Duration = Union[timedelta, int, float]
 
 WSTART = "wstart"
 WEND = "wend"
+WINDOW_TAG = "repro.window"
+
+
+def _tagged(start: str, end: str) -> dict:
+    """``wstart``/``wend`` from SQL expressions, each tagged with its name."""
+    return {
+        c: F.expr(e).alias(c, metadata={WINDOW_TAG: c})
+        for c, e in ((WSTART, start), (WEND, end))
+    }
 
 
 def _seconds(d: Duration, name: str) -> int:
@@ -97,10 +110,7 @@ def tumble(
     d = _seconds(dur, "dur")
     off = _seconds(offset, "offset") % d
     return data.withColumns(
-        {
-            WSTART: F.expr(tumble_start_sql(timecol, d, off)),
-            WEND: F.expr(tumble_end_sql(timecol, d, off)),
-        }
+        _tagged(tumble_start_sql(timecol, d, off), tumble_end_sql(timecol, d, off))
     )
 
 
@@ -123,10 +133,7 @@ def hop(
     exploded = data.select("*", F.explode(F.expr(starts)).alias("__ws"))
     return (
         exploded.withColumns(
-            {
-                WSTART: F.expr("timestamp_seconds(__ws)"),
-                WEND: F.expr(f"timestamp_seconds(__ws + {d})"),
-            }
+            _tagged("timestamp_seconds(__ws)", f"timestamp_seconds(__ws + {d})")
         )
         .drop("__ws")
     )

@@ -21,12 +21,10 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from ..core import EmitSpec, run_query
-from ..core.windows import hop, tumble
+from ..core.windows import WEND, hop, tumble
 from ..cql import cql_q7
 from . import generator as gen
 from . import queries as Q
-
-WKW = dict(key_cols=["wstart", "wend"], wend_col="wend")
 
 
 def _timed(fn: Callable) -> tuple:
@@ -49,6 +47,11 @@ def hot_counts_query(dur: timedelta) -> Callable:
     return q
 
 
+def untag_wend(q: Callable) -> Callable:
+    """``q`` with ``wend`` untagged, so no group completes (P2's baseline)."""
+    return lambda spark, **dfs: q(spark, **dfs).withMetadata(WEND, {})
+
+
 def emit_modes_experiment(
     spark: SparkSession,
     *,
@@ -67,7 +70,7 @@ def emit_modes_experiment(
     q = hot_counts_query(dur)
     # ``ver`` counters differ per key; key includes item so counts group
     # per (window, auction).
-    kw = dict(key_cols=["wstart", "wend", "item"], wend_col="wend")
+    kw = dict(key_cols=["wstart", "wend", "item"])
     rows: List[dict] = []
     specs = [
         ("EMIT STREAM (continuous)", EmitSpec(stream=True)),
@@ -109,15 +112,12 @@ def state_release_experiment(
     q = hot_counts_query(dur)
     kw = dict(key_cols=["wstart", "wend", "item"])
     rows = []
-    for name, wend_col in [
-        ("with watermark finalization", "wend"),
-        ("without (no event-time completion)", None),
+    for name, query in [
+        ("with watermark finalization", q),
+        ("without (no event-time completion)", untag_wend(q)),
     ]:
         r, secs = _timed(
-            lambda: run_query(
-                spark, {"bid": log}, q, emit=EmitSpec(stream=True),
-                wend_col=wend_col, **kw,
-            )
+            lambda: run_query(spark, {"bid": log}, query, emit=EmitSpec(stream=True), **kw)
         )
         rows.append(
             {
@@ -152,7 +152,7 @@ def q7_vs_cql_experiment(
     ours, ours_s = _timed(
         lambda: run_query(
             spark, {"bid": log}, Q.make_q7(dur),
-            emit=EmitSpec(stream=True, after_watermark=True), **WKW,
+            emit=EmitSpec(stream=True, after_watermark=True),
         )
     )
     cql, cql_s = _timed(lambda: cql_q7(spark, log, dur=dur))

@@ -40,7 +40,8 @@ def run_extended_sql(
     """Run an extended-dialect query over the given event logs, keyed by
     the table names the query reads. The EMIT clause decides
     materialization; a query with a windowing TVF groups its result by
-    (wstart, wend), complete once the watermark passes wend."""
+    (wstart, wend), complete once the watermark passes wend, passed here
+    because the rewritten SQL text carries no window-tag column metadata."""
     core, emit = split_emit(sql)
     rewritten, calls = rewrite_extended_sql(core)
     engine = TvrEngine(

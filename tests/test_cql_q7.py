@@ -58,8 +58,6 @@ class TestEquivalenceWithProposedSql:
             {"bid": log},
             make_q7(),
             emit=EmitSpec(stream=True, after_watermark=True),
-            key_cols=["wstart", "wend"],
-            wend_col="wend",
         )
         out = r.changelog[~r.changelog["undo"]][["wend", "price", "item", "ptime"]]
         return out.sort_values(["wend", "item"]).reset_index(drop=True)

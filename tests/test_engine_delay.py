@@ -12,7 +12,6 @@ from repro.nexmark.queries import make_q7
 from tests.helpers import assert_pdf_equal
 
 t = ex.t
-KW = dict(key_cols=["wstart", "wend"], wend_col="wend")
 SIX = timedelta(minutes=6)
 
 
@@ -23,7 +22,6 @@ def delay_run(spark):
         {"bid": ex.bid_log()},
         make_q7(),
         emit=EmitSpec(stream=True, after_delay=SIX),
-        **KW,
     )
 
 
@@ -71,7 +69,7 @@ class TestTimerSemantics:
         r = run_query(
             spark, {"bid": log}, total,
             emit=EmitSpec(stream=True, after_delay=timedelta(minutes=5)),
-            key_cols=[], wend_col=None,
+            key_cols=[],
         )
         # First pane at 8:05 materializes 5; the 8:20 change schedules a
         # pane at 8:25, but by then the value is 5 again -> nothing.
@@ -102,7 +100,6 @@ class TestCombined:
             {"bid": ex.bid_log()},
             make_q7(),
             emit=EmitSpec(stream=True, after_watermark=True, after_delay=SIX),
-            **KW,
         )
 
     def test_early_then_ontime_panes(self, combined_run):
@@ -144,7 +141,6 @@ class TestCombined:
             spark, {"bid": log}, make_q7(),
             emit=EmitSpec(stream=True, after_watermark=True, after_delay=SIX,
                           allowed_lateness=timedelta(minutes=10)),
-            **KW,
         )
         w1 = r.changelog[r.changelog["wend"] == t(8, 10)]
         assert list(zip(w1["item"], w1["undo"], w1["ptime"], w1["ver"])) == [
@@ -166,7 +162,6 @@ class TestValidationAndEdges:
             {"bid": ex.bid_log()},
             make_q7(),
             emit=EmitSpec(stream=True, after_delay=timedelta(hours=2)),
-            **KW,
         )
         # Every pane fires two hours after the first change of its window.
         assert list(r.changelog["ptime"]) == [t(10, 8), t(10, 12)]
@@ -179,6 +174,5 @@ class TestValidationAndEdges:
             make_q7(),
             emit=EmitSpec(stream=True, after_delay=timedelta(hours=2)),
             until=t(8, 30),
-            **KW,
         )
         assert r.emitted_rows() == 0

@@ -9,10 +9,14 @@ from pyspark.sql import functions as F
 from repro.core import EmitSpec, run_query
 from repro.core.engine import TvrEngine, snapshot_query
 from repro.core.timeline import EventLog
-from repro.core.windows import hop_starts_sql, tumble, tumble_end_sql, tumble_start_sql
+from repro.core.windows import (
+    WINDOW_TAG, hop_starts_sql, tumble, tumble_end_sql, tumble_start_sql,
+)
 from repro.cql import cql_q7
 from repro.nexmark import example as ex
-from repro.nexmark.queries import make_q7
+from repro.nexmark import generator as gen
+from repro.nexmark.perf import hot_counts_query
+from repro.nexmark.queries import make_hop_max, make_q5, make_q7, make_q8, make_tumble_max
 
 t = ex.t
 
@@ -82,12 +86,77 @@ class TestErrorPaths:
             spark.conf.set("spark.sql.session.timeZone", "UTC")
 
 
+def _q8_both_wends(spark_, person, auction):
+    """Q8 projecting both inputs' window ends: two tagged ``wend`` columns."""
+    p = tumble(person, "entrytime", timedelta(minutes=20)).alias("p")
+    a = tumble(auction, "atime", timedelta(minutes=20)).alias("a")
+    return p.join(
+        a, (F.col("p.id") == F.col("a.seller")) & (F.col("p.wstart") == F.col("a.wstart"))
+    ).select("p.id", "p.wstart", "p.wend", F.col("a.wend").alias("awend")).distinct()
+
+
+class TestWindowTags:
+    """The engine's default grouping and completeness column come from the
+    window columns ``tumble``/``hop`` tag in the result's schema."""
+
+    def test_tags_survive_query_shapes(self, spark):
+        bid = spark.createDataFrame([], "bidtime timestamp, price long, item string")
+        person = spark.createDataFrame([], "id long, name string, entrytime timestamp")
+        auction = spark.createDataFrame([], "seller long, atime timestamp")
+        tumble(bid, "bidtime", 600).createOrReplaceTempView("tagged_bid")
+        shapes = {
+            "q7": lambda: make_q7()(spark, bid),
+            "q5": lambda: make_q5()(spark, bid),
+            "q8": lambda: make_q8()(spark, person, auction),
+            "tumble_max": lambda: make_tumble_max()(spark, bid),
+            "hop_max": lambda: make_hop_max()(spark, bid),
+            "hot_counts": lambda: hot_counts_query(timedelta(minutes=10))(spark, bid),
+            "distinct": lambda: tumble(bid, "bidtime", 600).select("wstart", "wend")
+            .distinct(),
+            "sql_view": lambda: spark.sql(
+                "SELECT wend, wstart, max(price) AS p FROM tagged_bid GROUP BY wstart, wend"
+            ),
+        }
+        sc = spark.sparkContext
+        sc.setJobGroup("window-tags", "schema reads only")
+        try:
+            for name, shape in shapes.items():
+                tags = {f.name: f.metadata.get(WINDOW_TAG) for f in shape().schema.fields}
+                assert tags["wstart"] == "wstart" and tags["wend"] == "wend", name
+            assert sc.statusTracker().getJobIdsForGroup("window-tags") == []
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            spark.catalog.dropTempView("tagged_bid")
+
+    def test_two_tagged_wends_need_wend_col(self, spark):
+        pp = gen.persons_pdf(n=30, seed=21, duration=timedelta(minutes=40))
+        aa = gen.auctions_pdf(n=40, n_sellers=30, seed=22, duration=timedelta(minutes=40))
+        logs = {
+            "person": gen.stream_event_log(pp, etime_col="entrytime", n_batches=2),
+            "auction": gen.stream_event_log(aa, etime_col="atime", n_batches=2),
+        }
+        with pytest.raises(ValueError, match=r"\['wend', 'awend'\].*wend_col"):
+            run_query(spark, logs, _q8_both_wends, emit=EmitSpec(stream=True))
+        r = run_query(
+            spark, logs, _q8_both_wends, emit=EmitSpec(stream=True), wend_col="wend"
+        )
+        assert r.stats["finalized_groups"] > 0
+        assert (r.table()["awend"] == r.table()["wend"]).all()
+
+    def test_keys_without_tagged_wend_never_complete(self, spark):
+        r = run_query(
+            spark, {"bid": ex.bid_log()}, make_q7(), emit=EmitSpec(stream=True),
+            key_cols=["wstart"],
+        )
+        assert r.stats["finalized_groups"] == 0
+        assert r.stats["final_live_groups"] == 2
+
+
 class TestDegenerateRuns:
     def test_until_before_first_event(self, spark):
         r = run_query(
             spark, {"bid": ex.bid_log()}, make_q7(),
             emit=EmitSpec(stream=True), until=t(8, 0),
-            key_cols=["wstart", "wend"], wend_col="wend",
         )
         assert r.emitted_rows() == 0
         assert len(r.table()) == 0
@@ -106,10 +175,7 @@ class TestDegenerateRuns:
         log.insert(t(8, 5), t(8, 1), 1, "X")
         log.insert(t(8, 5), t(8, 2), 2, "Y")
         log.watermark_to(t(8, 30), t(8, 20))
-        r = run_query(
-            spark, {"bid": log}, make_q7(), emit=EmitSpec(stream=True),
-            key_cols=["wstart", "wend"], wend_col="wend",
-        )
+        r = run_query(spark, {"bid": log}, make_q7(), emit=EmitSpec(stream=True))
         # Both bids land in one micro-batch: one recompute, one insert of
         # the max row (no interim X pane).
         assert r.stats["recomputes"] == 1
@@ -121,7 +187,6 @@ class TestDegenerateRuns:
         r = run_query(
             spark, {"bid": log}, make_q7(),
             emit=EmitSpec(stream=True, after_watermark=True),
-            key_cols=["wstart", "wend"], wend_col="wend",
         )
         assert r.emitted_rows() == 0
         assert r.stats["final_watermark"] is None
@@ -148,7 +213,7 @@ class TestDegenerateRuns:
         ):
             r = run_query(
                 spark, {"bid": log}, q, emit=emit,
-                key_cols=["wstart", "wend", "item"], wend_col="wend",
+                key_cols=["wstart", "wend", "item"],
             )
             assert list(r.changelog["item"]) == [None, "X"]
             assert list(r.table()["item"]) == [None, "X"]

@@ -68,10 +68,7 @@ def test_duality_on_random_streams(spark, qname, seed):
         n=150, n_batches=6, seed=seed, duration=timedelta(minutes=45),
         n_auctions=10, max_delay=timedelta(minutes=3),
     )
-    r = run_query(
-        spark, {"bid": log}, QUERIES[qname], emit=EmitSpec(stream=True),
-        key_cols=["wstart", "wend"], wend_col="wend",
-    )
+    r = run_query(spark, {"bid": log}, QUERIES[qname], emit=EmitSpec(stream=True))
     for at in log.ptimes():
         snap = snapshot_query(spark, {"bid": log}, QUERIES[qname], at=at)
         assert_pdf_equal(r.table(at=at), snap, ordered=False)
@@ -88,7 +85,6 @@ def test_watermark_gated_table_is_prefix_of_final(spark, seed):
     )
     r = run_query(
         spark, {"bid": log}, q_count, emit=EmitSpec(stream=True, after_watermark=True),
-        key_cols=["wstart", "wend"], wend_col="wend",
     )
     final = r.table()
     final_rows = set(map(tuple, final.itertuples(index=False, name=None)))
@@ -102,10 +98,7 @@ def test_changelog_integration_never_negative(spark):
     prefix of the changelog (well-formedness of the encoding)."""
     log = bid_event_log(n=150, n_batches=6, seed=55, n_auctions=5,
                         duration=timedelta(minutes=45))
-    r = run_query(
-        spark, {"bid": log}, q_sum, emit=EmitSpec(stream=True),
-        key_cols=["wstart", "wend"], wend_col="wend",
-    )
+    r = run_query(spark, {"bid": log}, q_sum, emit=EmitSpec(stream=True))
     for at in log.ptimes():
         r.table(at=at)  # raises inside integrate_changelog on violation
 
@@ -115,14 +108,10 @@ def test_delay_mode_final_state_equals_continuous(spark):
     fully-integrated table must equal the continuous-mode table."""
     log = bid_event_log(n=200, n_batches=8, seed=77, n_auctions=8,
                         duration=timedelta(minutes=50))
-    cont = run_query(
-        spark, {"bid": log}, q_count, emit=EmitSpec(stream=True),
-        key_cols=["wstart", "wend"], wend_col="wend",
-    )
+    cont = run_query(spark, {"bid": log}, q_count, emit=EmitSpec(stream=True))
     delayed = run_query(
         spark, {"bid": log}, q_count,
         emit=EmitSpec(stream=True, after_delay=timedelta(minutes=4)),
-        key_cols=["wstart", "wend"], wend_col="wend",
     )
     assert_pdf_equal(delayed.table(), cont.table(), ordered=False)
     # And it really coalesced: strictly fewer (or equal) changelog rows.
@@ -152,12 +141,10 @@ def test_two_input_union_equals_merged_log(spark):
     split = run_query(
         spark, {"a": half1, "b": half2}, union_q,
         emit=EmitSpec(stream=True, after_watermark=True),
-        key_cols=["wstart", "wend"], wend_col="wend",
     )
     merged = run_query(
         spark, {"bid": half1.merge(half2)}, plain_q,
         emit=EmitSpec(stream=True, after_watermark=True),
-        key_cols=["wstart", "wend"], wend_col="wend",
     )
     assert_pdf_equal(split.changelog, merged.changelog)
 
@@ -200,10 +187,7 @@ def test_late_rows_dropped_exactly(spark, seed, spec, lateness):
     integrates at every ptime of the run."""
     log = _watermark_violating_log(seed)
     emit = EmitSpec(allowed_lateness=timedelta(minutes=lateness), **spec)
-    r = run_query(
-        spark, {"bid": log}, q_count, emit=emit,
-        key_cols=["wstart", "wend"], wend_col="wend",
-    )
+    r = run_query(spark, {"bid": log}, q_count, emit=emit)
     rows = log.arrivals_pdf()
     wstart = rows["bidtime"].dt.floor(TEN)
     marks = [log.watermark().at(p - pd.Timedelta(1)) for p in rows["ptime"]]

@@ -12,15 +12,12 @@ from repro.oracle import assert_equivalent
 from tests.helpers import assert_pdf_equal
 
 t = ex.t
-KW = dict(key_cols=["wstart", "wend"], wend_col="wend")
 
 
 @pytest.fixture(scope="module")
 def stream_run(spark):
     """One EMIT STREAM run of Q7 over the paper's example, shared."""
-    return run_query(
-        spark, {"bid": ex.bid_log()}, make_q7(), emit=EmitSpec(stream=True), **KW
-    )
+    return run_query(spark, {"bid": ex.bid_log()}, make_q7(), emit=EmitSpec(stream=True))
 
 
 class TestListing9:
@@ -144,7 +141,7 @@ class TestUntil:
     def test_run_truncated_at_8_13(self, spark):
         r = run_query(
             spark, {"bid": ex.bid_log()}, make_q7(),
-            emit=EmitSpec(stream=True), until=t(8, 13), **KW
+            emit=EmitSpec(stream=True), until=t(8, 13)
         )
         assert_pdf_equal(r.changelog, ex.LISTING_9.iloc[:4].reset_index(drop=True))
         assert_pdf_equal(r.table(), ex.LISTING_4, ordered=False)

@@ -9,11 +9,11 @@ from repro.core import EmitSpec, run_query
 from repro.core.timeline import EventLog
 from repro.core.windows import tumble
 from repro.nexmark import example as ex
+from repro.nexmark.perf import untag_wend
 from repro.nexmark.queries import make_q7
 from tests.helpers import assert_pdf_equal
 
 t = ex.t
-KW = dict(key_cols=["wstart", "wend"], wend_col="wend")
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,6 @@ def wm_run(spark):
         {"bid": ex.bid_log()},
         make_q7(),
         emit=EmitSpec(stream=True, after_watermark=True),
-        **KW,
     )
 
 
@@ -87,7 +86,6 @@ class TestLateDataDropped:
             {"bid": _late_log()},
             make_q7(),
             emit=EmitSpec(stream=True, after_watermark=True),
-            **KW,
         )
 
     def test_final_result_unchanged_by_late_row(self, late_run):
@@ -103,9 +101,7 @@ class TestLateDataDropped:
         # Extension 2 applies to the grouping itself, not only when EMIT
         # AFTER WATERMARK is requested: the closed window ignores the late
         # bid in plain EMIT STREAM mode too.
-        r = run_query(
-            spark, {"bid": _late_log()}, make_q7(), emit=EmitSpec(stream=True), **KW
-        )
+        r = run_query(spark, {"bid": _late_log()}, make_q7(), emit=EmitSpec(stream=True))
         assert_pdf_equal(r.table(), ex.LISTING_3, ordered=False)
         assert r.stats["dropped_late_rows"] > 0
 
@@ -117,7 +113,7 @@ class TestLateDataDropped:
         log = _late_log()
         for i in range(n_later):
             log.insert(t(8, 22) + timedelta(seconds=10 * i), t(8, 21), 1, f"X{i}")
-        r = run_query(spark, {"bid": log}, make_q7(), emit=EmitSpec(stream=True), **KW)
+        r = run_query(spark, {"bid": log}, make_q7(), emit=EmitSpec(stream=True))
         assert r.stats["dropped_late_rows"] == 2
 
 
@@ -142,7 +138,7 @@ class TestLateOnlyGroups:
                 "wstart", "wend"
             ).agg(F.count(F.lit(1)).alias("n"))
 
-        return run_query(spark, {"bid": TestLateOnlyGroups._log()}, q_count, emit=emit, **KW)
+        return run_query(spark, {"bid": TestLateOnlyGroups._log()}, q_count, emit=emit)
 
     @pytest.mark.parametrize("after_watermark", [False, True])
     def test_dropped(self, spark, after_watermark):
@@ -178,7 +174,6 @@ class TestAllowedLateness:
                 stream=True, after_watermark=True,
                 allowed_lateness=timedelta(minutes=10),
             ),
-            **KW,
         )
         chg = r.changelog
         w1 = chg[chg["wend"] == t(8, 10)]
@@ -196,13 +191,9 @@ class TestStateRelease:
         assert wm_run.stats["final_live_groups"] == 0
 
     def test_without_wend_col_state_never_freed(self, spark):
+        # Without the window tag on wend, no group completes.
         r = run_query(
-            spark,
-            {"bid": ex.bid_log()},
-            make_q7(),
-            emit=EmitSpec(stream=True),
-            key_cols=["wstart", "wend"],
-            wend_col=None,
+            spark, {"bid": ex.bid_log()}, untag_wend(make_q7()), emit=EmitSpec(stream=True)
         )
         assert r.stats["finalized_groups"] == 0
         assert r.stats["final_live_groups"] == 2
@@ -226,8 +217,7 @@ class TestStateRelease:
             ).agg(F.max("price").alias("top")).where("top < 5")
 
         r = run_query(
-            spark, {"bid": log}, q_cheap,
-            emit=EmitSpec(stream=True, after_watermark=True), **KW,
+            spark, {"bid": log}, q_cheap, emit=EmitSpec(stream=True, after_watermark=True)
         )
         assert list(r.changelog["wstart"]) == [t(8, 10)]
         assert list(r.changelog["ptime"]) == [t(8, 22)]
@@ -247,7 +237,6 @@ class TestTableModeAfterWatermark:
             {"bid": ex.bid_log()},
             make_q7(),
             emit=EmitSpec(stream=False, after_watermark=True),
-            **KW,
         )
         assert_pdf_equal(r.table(at=t(8, 13)), ex.LISTING_10, ordered=False)
         assert_pdf_equal(r.table(at=t(8, 16)), ex.LISTING_11, ordered=False)

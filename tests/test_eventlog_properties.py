@@ -153,10 +153,7 @@ def test_engine_sees_one_log(spark, script):
     built, framed = built_log(rows, wms), pandas_log(rows, wms)
     for emit in (EmitSpec(stream=True), EmitSpec(stream=True, after_watermark=True)):
         a, b = (
-            run_query(
-                spark, {"bid": log}, q_counts, emit=emit,
-                key_cols=["wstart", "wend"], wend_col="wend",
-            )
+            run_query(spark, {"bid": log}, q_counts, emit=emit)
             for log in (built, framed)
         )
         assert_pdf_equal(a.changelog, b.changelog)

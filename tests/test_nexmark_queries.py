@@ -155,8 +155,6 @@ class TestStreamingQ8MultiInput:
             logs,
             Q.make_q8(timedelta(minutes=20)),
             emit=EmitSpec(stream=True, after_watermark=True),
-            key_cols=["wstart", "wend"],
-            wend_col="wend",
         ), (pp, aa), logs
 
     def test_final_table_matches_batch_answer(self, spark, run):
@@ -191,9 +189,6 @@ class TestSnapshotVsEngineTableParity:
     def test_q7_generated_stream(self, spark):
         log = gen.bid_event_log(n=600, n_batches=5, seed=33,
                                 duration=timedelta(minutes=30))
-        r = run_query(
-            spark, {"bid": log}, Q.make_q7(), emit=EmitSpec(stream=True),
-            key_cols=["wstart", "wend"], wend_col="wend",
-        )
+        r = run_query(spark, {"bid": log}, Q.make_q7(), emit=EmitSpec(stream=True))
         snap = snapshot_query(spark, {"bid": log}, Q.make_q7())
         assert_pdf_equal(r.table(), snap, ordered=False)

@@ -86,8 +86,6 @@ def engine_result(spark):
         {"bid": ex.bid_log()},
         make_tumble_max(),
         emit=EmitSpec(stream=True, after_watermark=True),
-        key_cols=["wstart", "wend"],
-        wend_col="wend",
     )
 
 
