@@ -1,6 +1,6 @@
 """T12 (Listing 2): the paper's proposed-SQL text, verbatim, through the
-dialect front end (TVF rewrite + EMIT parsing) — reproducing Listings 3
-and 9 from the same query string.
+dialect front end (each TVF call a view of the tagged ``tumble``, plus EMIT
+parsing) — reproducing Listings 3 and 9 from the same query string.
 
 Run: ``spark-submit jobs/listing2_sql.py``.
 """
@@ -22,7 +22,7 @@ def main(spark) -> None:
     print("=== Listing 2 (input, verbatim) ===")
     print(LISTING_2_SQL)
     rewritten, calls = rewrite_extended_sql(LISTING_2_SQL)
-    print("\n=== rewritten to plain Spark SQL ===")
+    print("\n=== rewritten to Spark SQL over one view per TVF call ===")
     print(rewritten)
     print(f"\nparsed TVF calls: {calls}")
 

@@ -136,8 +136,9 @@ class _Changes:
     """The per-step change source of one run. At every insert ptime ``t`` up
     to ``until`` it runs the query over the inputs' snapshots at ``t`` and
     yields ``(t, delta)``, the result's change since the previous step
-    (:func:`~repro.core.diff.rows_by_key`; empty if none). The first result's
-    schema fixes ``columns``, the key and ``wend``, the completeness column's index."""
+    (:func:`~repro.core.diff.rows_by_key`; empty if none). The query's schema,
+    even if no step runs, fixes ``columns``, the key and ``wend``, the
+    completeness column's index."""
 
     def __init__(self, engine: TvrEngine, logs: Mapping[str, EventLog], until):
         self.engine, self.logs, self.until = engine, logs, until
@@ -145,32 +146,43 @@ class _Changes:
         self.wend: Optional[int] = None
 
     def __iter__(self) -> Iterator[Change]:
-        eng, prev, key_cols = self.engine, None, self.engine.key_cols
+        eng, prev = self.engine, None
         with _snapshots(eng.spark, self.logs) as (snapshots, ptimes):
-            for t in (p for p in ptimes if self.until is None or p <= self.until):
+            steps = [p for p in ptimes if self.until is None or p <= self.until]
+            if not steps:  # nothing to run; the schema alone runs no job
+                self._grouping(eng.query(eng.spark, **snapshots(self.until)))
+            for t in steps:
                 df = eng.query(eng.spark, **snapshots(t))
                 if prev is None:
-                    self.columns = cols = df.columns
-                    clash = [c for c in cols if c in D.META_COLS]
-                    if clash:
-                        raise ValueError(f"result column {clash[0]!r} is a changelog column")
-                    # Defaults: the window columns tumble/hop tagged, and their wend.
-                    tags = {f.name: f.metadata.get(WINDOW_TAG) for f in df.schema.fields}
-                    if key_cols is None:
-                        key_cols = [c for c in cols if tags[c]] or cols
-                    wend = eng.wend_col
-                    if wend is None:
-                        ends = [c for c in key_cols if tags.get(c) == WEND]
-                        if len(ends) > 1:
-                            msg = f"tagged wend key columns {ends}; pass wend_col"
-                            raise ValueError(msg)
-                        wend = next(iter(ends), None)
-                    if wend is not None and wend not in key_cols:
-                        raise ValueError(f"wend_col {wend!r} not in key columns {key_cols}")
-                    self.wend = None if wend is None else key_cols.index(wend)
+                    key_cols = self._grouping(df)
                 pdf = df.toPandas()
                 yield t, D.rows_by_key(pdf, self.columns, key_cols, prev)
                 prev = pdf
+
+    def _grouping(self, df: DataFrame) -> List[str]:
+        """Fix ``columns`` and ``wend`` from ``df``'s schema; return the key
+        columns. Defaults: the window columns tumble/hop tagged, and their wend."""
+        self.columns = cols = df.columns
+        clash = [c for c in cols if c in D.META_COLS]
+        if clash:
+            raise ValueError(f"result column {clash[0]!r} is a changelog column")
+        tags = {f.name: f.metadata.get(WINDOW_TAG) for f in df.schema.fields}
+        key_cols = self.engine.key_cols
+        if key_cols is None:
+            key_cols = [c for c in cols if tags[c]] or cols
+        missing = [c for c in key_cols if c not in cols]
+        if missing:
+            raise ValueError(f"key columns {missing} not in result columns {cols}")
+        wend = self.engine.wend_col
+        if wend is None:
+            ends = [c for c in key_cols if tags.get(c) == WEND]
+            if len(ends) > 1:
+                raise ValueError(f"tagged wend key columns {ends}; pass wend_col")
+            wend = next(iter(ends), None)
+        if wend is not None and wend not in key_cols:
+            raise ValueError(f"wend_col {wend!r} not in key columns {key_cols}")
+        self.wend = None if wend is None else key_cols.index(wend)
+        return key_cols
 
 
 def _emit(

@@ -4,6 +4,8 @@ Both are plain ``DataFrame -> DataFrame`` transformations executed entirely
 through Catalyst (SQL expressions; Hop explodes a ``sequence`` of window
 starts), matching the paper's definition: the output relation has all the
 input's columns plus event-time interval columns ``wstart`` and ``wend``.
+They are the only code that adds window columns: the dialect front end
+(``repro.sqlext``) runs each SQL ``Tumble``/``Hop`` call through them.
 
 - ``Tumble(data, timecol, dur, offset)``: partitions event time into
   equally spaced disjoint covering intervals of width ``dur``.
@@ -11,14 +13,13 @@ input's columns plus event-time interval columns ``wstart`` and ``wend``.
   whose starts are ``hopsize`` apart; a row may land in several windows
   (``hopsize < dur``) or in none (``hopsize > dur`` — gaps).
 
-The SQL-text builders (``tumble_sql``/``hop_sql``) are shared with the
-dialect front end (``repro.sqlext``), so the paper's verbatim TVF syntax and
-the programmatic API provably rewrite to the same Catalyst expressions.
 Windows are second-granular; the paper's examples use whole minutes.
 
 ``tumble``/``hop`` tag ``wstart``/``wend`` in Spark column metadata (key
 :data:`WINDOW_TAG`, value the name), as ``EventTimeWatermark`` marks its
-columns; the engine reads a result's grouping off its schema.
+columns; the engine reads a result's grouping off its schema. They build
+columns with ``selectExpr``: a first ``pyspark.sql.functions`` call loads
+~500 modules.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from datetime import timedelta
 from typing import Union
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql.types import StructField, StructType
 
 Duration = Union[timedelta, int, float]
 
@@ -35,12 +36,15 @@ WEND = "wend"
 WINDOW_TAG = "repro.window"
 
 
-def _tagged(start: str, end: str) -> dict:
-    """``wstart``/``wend`` from SQL expressions, each tagged with its name."""
-    return {
-        c: F.expr(e).alias(c, metadata={WINDOW_TAG: c})
-        for c, e in ((WSTART, start), (WEND, end))
-    }
+def _tagged(data: DataFrame, start: str, end: str) -> DataFrame:
+    """``data`` less Hop's ``__ws``, plus ``wstart``/``wend`` from SQL expressions,
+    each tagged with its name by one ``to`` (two ``withMetadata`` plan slower)."""
+    out = data.selectExpr("*", f"{start} AS {WSTART}", f"{end} AS {WEND}")
+    tags = {c: {WINDOW_TAG: c} for c in (WSTART, WEND)}
+    return out.to(StructType([
+        StructField(f.name, f.dataType, f.nullable, tags.get(f.name, f.metadata))
+        for f in out.schema.fields if f.name != "__ws"
+    ]))
 
 
 def _seconds(d: Duration, name: str) -> int:
@@ -55,7 +59,7 @@ def _seconds(d: Duration, name: str) -> int:
     return int(s)
 
 
-# -- SQL-text builders (shared with the sqlext rewriter) -------------------
+# -- SQL-text builders ----------------------------------------------------
 
 
 def tumble_start_sql(timecol: str, dur_s: int, offset_s: int = 0) -> str:
@@ -109,9 +113,7 @@ def tumble(
     the tumbling window of width ``dur`` containing ``timecol``."""
     d = _seconds(dur, "dur")
     off = _seconds(offset, "offset") % d
-    return data.withColumns(
-        _tagged(tumble_start_sql(timecol, d, off), tumble_end_sql(timecol, d, off))
-    )
+    return _tagged(data, tumble_start_sql(timecol, d, off), tumble_end_sql(timecol, d, off))
 
 
 def hop(
@@ -130,11 +132,6 @@ def hop(
     h = _seconds(hopsize, "hopsize")
     off = _seconds(offset, "offset") % h
     starts = hop_starts_sql(timecol, d, h, off)
-    exploded = data.select("*", F.explode(F.expr(starts)).alias("__ws"))
-    return (
-        exploded.withColumns(
-            _tagged("timestamp_seconds(__ws)", f"timestamp_seconds(__ws + {d})")
-        )
-        .drop("__ws")
-    )
+    exploded = data.selectExpr("*", f"explode({starts}) AS __ws")
+    return _tagged(exploded, "timestamp_seconds(__ws)", f"timestamp_seconds(__ws + {d})")
 

@@ -2,8 +2,9 @@
 
 ``run_extended_sql`` is the end-to-end path the paper proposes: take a
 query in the extended dialect (TVF syntax + EMIT clause), split off the
-materialization spec, rewrite the relational core to plain Spark SQL, and
-evaluate it continuously over the inputs' scripted timelines.
+materialization spec, and evaluate the relational core continuously over
+the inputs' scripted timelines. Each TVF call runs through ``tumble``/``hop``,
+so the engine derives the grouping from the result's window tags.
 """
 from __future__ import annotations
 
@@ -13,19 +14,32 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..core.engine import StreamResult, TvrEngine
 from ..core.timeline import EventLog
+from ..core.windows import hop, tumble
 from .parser import split_emit
-from .rewrite import rewrite_extended_sql
+from .rewrite import TvfCall, rewrite_extended_sql
+
+
+def _apply(spark: SparkSession, call: TvfCall) -> DataFrame:
+    """One TVF call over the table it names, as the DataFrame API runs it."""
+    data = spark.table(call.table)
+    if call.kind == "tumble":
+        return tumble(data, call.timecol, call.dur, call.offset)
+    return hop(data, call.timecol, call.dur, call.hopsize, call.offset)
 
 
 def sql_query_fn(core_sql: str):
-    """Wrap already-rewritten Spark SQL as the engine's query callable:
-    each micro-batch registers the inputs' snapshots as temp views and runs
-    the statement through Catalyst."""
+    """Wrap the relational core of an extended-dialect query (no EMIT
+    clause) as the engine's query callable: each micro-batch registers the
+    inputs' snapshots as temp views, then each TVF call's view over them,
+    and runs the rewritten statement through Catalyst."""
+    sql, calls = rewrite_extended_sql(core_sql)
 
     def query(spark: SparkSession, **dfs: DataFrame) -> DataFrame:
         for name, df in dfs.items():
             df.createOrReplaceTempView(name)
-        return spark.sql(core_sql)
+        for call in calls:
+            _apply(spark, call).createOrReplaceTempView(call.view)
+        return spark.sql(sql)
 
     return query
 
@@ -39,15 +53,6 @@ def run_extended_sql(
 ) -> StreamResult:
     """Run an extended-dialect query over the given event logs, keyed by
     the table names the query reads. The EMIT clause decides
-    materialization; a query with a windowing TVF groups its result by
-    (wstart, wend), complete once the watermark passes wend, passed here
-    because the rewritten SQL text carries no window-tag column metadata."""
+    materialization; the tagged window columns in the result group it."""
     core, emit = split_emit(sql)
-    rewritten, calls = rewrite_extended_sql(core)
-    engine = TvrEngine(
-        spark,
-        sql_query_fn(rewritten),
-        key_cols=["wstart", "wend"] if calls else None,
-        wend_col="wend" if calls else None,
-    )
-    return engine.run(logs, emit=emit, until=until)
+    return TvrEngine(spark, sql_query_fn(core)).run(logs, emit=emit, until=until)

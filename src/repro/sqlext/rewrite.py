@@ -1,11 +1,11 @@
-"""Rewriting windowing-TVF invocations to plain Spark SQL (Extension 3).
+"""Rewriting windowing-TVF invocations to temp-view references (Extension 3).
 
-``Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), dur =>
-INTERVAL '10' MINUTE [, offset => ...])`` becomes a subquery that projects
-``Bid.*`` plus ``wstart``/``wend`` computed with the exact same Catalyst
-expressions as ``repro.core.windows`` (the SQL builders are shared).
-``Hop`` additionally explodes the per-row array of containing window
-starts via ``LATERAL VIEW explode``.
+Each ``Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), dur =>
+INTERVAL '10' MINUTE [, offset => ...])`` or ``Hop(...)`` call is parsed
+into a :class:`TvfCall` and replaced by its own view name (``__tvf0``, ...),
+which the executor registers at every step as ``repro.core.windows``'
+``tumble``/``hop`` over the named table: one TVF implementation, one set
+of window tags for both front ends.
 
 One deliberate normalization: the paper's listings write ``GROUP BY
 TumbleBid.wend`` while projecting ``TumbleBid.wstart`` — valid under the
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from datetime import timedelta
 from typing import List, Optional, Tuple
 
-from ..core.windows import _seconds, hop_starts_sql, tumble_end_sql, tumble_start_sql
 from .parser import parse_interval
 
 _TVF_RE = re.compile(r"\b(Tumble|Hop)\s*\(", re.IGNORECASE)
@@ -40,6 +39,7 @@ class TvfCall:
     hopsize: Optional[timedelta]
     offset: timedelta
     alias: Optional[str]
+    view: str  # the temp-view name that replaces the call in the SQL text
 
 
 def _balanced_span(text: str, open_idx: int) -> int:
@@ -115,24 +115,6 @@ def _parse_descriptor(value: str) -> str:
     return m.group(1)
 
 
-def _tvf_subquery(call: TvfCall) -> str:
-    d = _seconds(call.dur, "dur")
-    off = _seconds(call.offset, "offset")
-    tbl, tc = call.table, call.timecol
-    if call.kind == "tumble":
-        return (
-            f"(SELECT {tbl}.*, {tumble_start_sql(tc, d, off % d)} AS wstart, "
-            f"{tumble_end_sql(tc, d, off % d)} AS wend FROM {tbl})"
-        )
-    h = _seconds(call.hopsize, "hopsize")
-    starts = hop_starts_sql(tc, d, h, off % h)
-    return (
-        f"(SELECT {tbl}.*, timestamp_seconds(__ws) AS wstart, "
-        f"timestamp_seconds(__ws + {d}) AS wend "
-        f"FROM {tbl} LATERAL VIEW explode({starts}) AS __ws)"
-    )
-
-
 def _normalize_group_by(sql: str, aliases: List[str]) -> str:
     """Complete wstart/wend pairs in GROUP BY lists over TVF outputs."""
     list_re = re.compile(
@@ -157,9 +139,9 @@ def _normalize_group_by(sql: str, aliases: List[str]) -> str:
 
 
 def rewrite_extended_sql(sql: str) -> Tuple[str, List[TvfCall]]:
-    """Replace every Tumble/Hop invocation with its Spark SQL subquery and
-    normalize GROUP BY lists. Returns the rewritten SQL and the parsed
-    calls (with their output aliases, if any)."""
+    """Replace every Tumble/Hop invocation with its own view name and
+    normalize GROUP BY lists. Returns the rewritten SQL and the parsed calls
+    (with their output aliases, if any)."""
     calls: List[TvfCall] = []
     out = sql
     while True:
@@ -185,9 +167,10 @@ def rewrite_extended_sql(sql: str) -> Tuple[str, List[TvfCall]]:
             hopsize=parse_interval(args["hopsize"]) if kind == "hop" else None,
             offset=parse_interval(args["offset"]) if "offset" in args else timedelta(0),
             alias=alias,
+            view=f"__tvf{len(calls)}",
         )
         calls.append(call)
-        out = out[: m.start()] + _tvf_subquery(call) + out[end:]
+        out = out[: m.start()] + call.view + out[end:]
     aliases = [c.alias for c in calls if c.alias]
     out = _normalize_group_by(out, aliases)
     return out, calls

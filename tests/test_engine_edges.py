@@ -17,6 +17,8 @@ from repro.nexmark import example as ex
 from repro.nexmark import generator as gen
 from repro.nexmark.perf import hot_counts_query
 from repro.nexmark.queries import make_hop_max, make_q5, make_q7, make_q8, make_tumble_max
+from repro.sqlext.executor import sql_query_fn
+from tests.helpers import LISTING_2_SQL
 
 t = ex.t
 
@@ -50,6 +52,11 @@ class TestErrorPaths:
         eng = TvrEngine(spark, q, wend_col="wend")
         with pytest.raises(ValueError, match="wend_col"):
             eng.run({"input": ex.bid_log()}, emit=EmitSpec(stream=True))
+
+    def test_unknown_key_column_named(self, spark):
+        msg = r"key columns \['nope'\] not in result columns \['wstart', 'wend'"
+        with pytest.raises(ValueError, match=msg):
+            run_query(spark, {"bid": ex.bid_log()}, make_q7(), key_cols=["wstart", "nope"])
 
     def test_metadata_column_name_rejected(self, spark):
         # A result column named like a changelog column would overwrite it.
@@ -116,6 +123,7 @@ class TestWindowTags:
             "sql_view": lambda: spark.sql(
                 "SELECT wend, wstart, max(price) AS p FROM tagged_bid GROUP BY wstart, wend"
             ),
+            "listing_2_sql": lambda: sql_query_fn(LISTING_2_SQL)(spark, Bid=bid),
         }
         sc = spark.sparkContext
         sc.setJobGroup("window-tags", "schema reads only")
@@ -126,7 +134,8 @@ class TestWindowTags:
             assert sc.statusTracker().getJobIdsForGroup("window-tags") == []
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
-            spark.catalog.dropTempView("tagged_bid")
+            for view in ("tagged_bid", "Bid", "__tvf0"):
+                spark.catalog.dropTempView(view)
 
     def test_two_tagged_wends_need_wend_col(self, spark):
         pp = gen.persons_pdf(n=30, seed=21, duration=timedelta(minutes=40))
@@ -161,6 +170,9 @@ class TestDegenerateRuns:
         assert r.emitted_rows() == 0
         assert len(r.table()) == 0
         assert r.stats["recomputes"] == 0
+        # The columns still come from the query's schema: Q7's empty relation.
+        cols = ["wstart", "wend", "bidtime", "price", "item"]
+        assert r.columns == cols and list(r.table().columns) == cols
 
     def test_query_with_always_empty_result(self, spark):
         def q(spark_, bid):

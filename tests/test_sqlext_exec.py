@@ -1,8 +1,11 @@
 """End-to-end: the paper's Listing 2 SQL text, verbatim, through the
 dialect front end — reproducing Listings 3, 4, 9, 13 and 14 (T12)."""
+from datetime import timedelta
+
+import pandas as pd
 import pytest
 
-from repro.core.windows import tumble
+from repro.core.windows import hop, tumble
 from repro.nexmark import example as ex
 from repro.sqlext import run_extended_sql
 from tests.helpers import LISTING_2_SQL, assert_pdf_equal
@@ -27,6 +30,14 @@ class TestListing2Verbatim:
     def test_table_at_8_13_reproduces_listing_4(self, spark, logs):
         r = run_extended_sql(spark, LISTING_2_SQL, logs, until=t(8, 13))
         assert_pdf_equal(r.table(), ex.LISTING_4, ordered=False)
+
+    def test_table_before_first_insert_is_empty_q7(self, spark, logs):
+        # At 8:07 no bid has arrived: the table is Q7's empty relation.
+        r = run_extended_sql(spark, LISTING_2_SQL, logs, until=t(8, 7))
+        cols = ["wstart", "wend", "bidtime", "price", "item"]
+        assert r.columns == cols
+        assert list(r.table().columns) == cols and len(r.table()) == 0
+        assert r.stats["recomputes"] == 0
 
     def test_after_watermark_reproduces_listing_13(self, spark, logs):
         r = run_extended_sql(
@@ -101,22 +112,59 @@ class TestTvfOnlyQueries:
         r = run_extended_sql(spark, sql, logs)
         assert_pdf_equal(r.table(), ex.LISTING_8, ordered=False)
 
+    def test_group_by_wend_only_projected(self, spark, logs):
+        # Only the tagged wend is in the result: it is the whole key and
+        # the completeness column, so each window emits once, on time.
+        sql = """
+            SELECT wend, MAX(price) AS maxprice
+            FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime),
+                        dur => INTERVAL '10' MINUTE)
+            GROUP BY wend
+            EMIT STREAM AFTER WATERMARK
+        """
+        r = run_extended_sql(spark, sql, logs)
+        expected = pd.DataFrame(
+            [(t(8, 10), 5, False, t(8, 16), 0), (t(8, 20), 6, False, t(8, 21), 0)],
+            columns=["wend", "maxprice", "undo", "ptime", "ver"],
+        )
+        assert_pdf_equal(r.changelog, expected)
+        assert r.stats["finalized_groups"] == 2
+
 
 class TestDialectMatchesDataFrameApi:
-    def test_tumble_sql_equals_tumble_df(self, spark, logs):
-        from datetime import timedelta
+    """A SQL TVF call and the DataFrame TVF agree on the same snapshot."""
 
-        sql = """
-            SELECT wstart, wend, bidtime, price, item
-            FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime),
-                        dur => INTERVAL '7' MINUTES)
-        """
+    COLS = ["wstart", "wend", "bidtime", "price", "item"]
+
+    def _check(self, spark, logs, tvf_sql, tvf_df):
+        sql = f"SELECT {', '.join(self.COLS)} FROM {tvf_sql}"
         via_sql = run_extended_sql(spark, sql, logs).table()
         df = spark.createDataFrame(ex.bid_log().snapshot_pdf())
-        via_df = (
-            tumble(df, "bidtime", timedelta(minutes=7))
-            .select("wstart", "wend", "bidtime", "price", "item")
-            .toPandas()
-        )
+        via_df = tvf_df(df).select(*self.COLS).toPandas()
+        assert len(via_df)
         assert_pdf_equal(via_sql, via_df, ordered=False)
+
+    def test_tumble_sql_equals_tumble_df(self, spark, logs):
+        self._check(
+            spark, logs,
+            "Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+            "dur => INTERVAL '7' MINUTES)",
+            lambda df: tumble(df, "bidtime", timedelta(minutes=7)),
+        )
+
+    def test_tumble_offset_sql_equals_tumble_df(self, spark, logs):
+        self._check(
+            spark, logs,
+            "Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+            "dur => INTERVAL '10' MINUTES, offset => INTERVAL '3' MINUTE)",
+            lambda df: tumble(df, "bidtime", timedelta(minutes=10), timedelta(minutes=3)),
+        )
+
+    def test_hop_sql_equals_hop_df(self, spark, logs):
+        self._check(
+            spark, logs,
+            "Hop(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+            "dur => INTERVAL '10' MINUTES, hopsize => INTERVAL '4' MINUTES)",
+            lambda df: hop(df, "bidtime", timedelta(minutes=10), timedelta(minutes=4)),
+        )
 

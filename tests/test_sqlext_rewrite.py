@@ -1,4 +1,5 @@
-"""Unit tests for the TVF-to-Spark-SQL rewriter."""
+"""Unit tests for the TVF rewriter: each call is parsed and replaced by its
+own temp-view name."""
 from datetime import timedelta
 
 import pytest
@@ -23,9 +24,9 @@ class TestTumbleRewrite:
         assert c.dur == timedelta(minutes=10) and c.alias is None
 
     def test_rewritten_is_plain_sql(self):
-        out, _ = rewrite_extended_sql(TUMBLE)
-        assert "Tumble(" not in out
-        assert "wstart" in out and "wend" in out and "FROM Bid" in out
+        out, calls = rewrite_extended_sql(TUMBLE)
+        assert "Tumble(" not in out and "TABLE(" not in out
+        assert out == f"SELECT * FROM {calls[0].view}"
 
     def test_alias_captured(self):
         out, calls = rewrite_extended_sql(TUMBLE + " TumbleBid")
@@ -44,7 +45,8 @@ class TestTumbleRewrite:
         sql = TUMBLE[:-1] + ", offset => INTERVAL '3' MINUTE)"
         out, calls = rewrite_extended_sql(sql)
         assert calls[0].offset == timedelta(minutes=3)
-        assert "- 180" in out  # offset seconds appear in the window arithmetic
+        assert "Tumble(" not in out and "offset" not in out
+        assert out == f"SELECT * FROM {calls[0].view}"
 
     def test_case_insensitive_keywords(self):
         sql = (
@@ -61,10 +63,10 @@ class TestHopRewrite:
         (c,) = calls
         assert c.kind == "hop" and c.hopsize == timedelta(minutes=5)
 
-    def test_rewritten_uses_lateral_explode(self):
-        out, _ = rewrite_extended_sql(HOP)
-        assert "LATERAL VIEW explode" in out
+    def test_rewritten_to_own_view(self):
+        out, calls = rewrite_extended_sql(HOP)
         assert "Hop(" not in out
+        assert out == f"SELECT * FROM {calls[0].view}"
 
     def test_hop_requires_hopsize(self):
         bad = HOP.replace(", hopsize => INTERVAL '5' MINUTE", "")
@@ -137,3 +139,9 @@ class TestMultipleCalls:
         assert len(calls) == 2
         assert {c.kind for c in calls} == {"tumble", "hop"}
         assert "Tumble(" not in out and "Hop(" not in out
+        a, b = calls
+        assert a.view != b.view
+        assert out == (
+            f"SELECT * FROM (SELECT * FROM {a.view}) a "
+            f"JOIN (SELECT * FROM {b.view}) b ON a.wend = b.wend"
+        )
