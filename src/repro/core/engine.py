@@ -4,11 +4,12 @@ This is the Structured-Streaming analog at the center of the reproduction:
 a deterministic micro-batch evaluator for continuous queries over
 time-varying relations. Its *change source* (:class:`_Changes`) reruns the
 query through Catalyst at every processing time at which an input inserts
-rows and diffs each result against the previous one (§3.1). Its *EMIT state
-machine* (:func:`_emit`) never calls Spark: from those changes and the
-watermark advances it decides, per the query's ``EmitSpec``, when a group's
-changes materialize (Extensions 4–7) and when groups complete and release
-state (Extension 2).
+rows, over inputs pinned as one partition each so that the rerun is one
+shuffle-free Spark job, and diffs each result against the previous one
+(§3.1). Its *EMIT state machine* (:func:`_emit`) never calls Spark: from
+those changes and the watermark advances it decides, per the query's
+``EmitSpec``, when a group's changes materialize (Extensions 4–7) and when
+groups complete and release state (Extension 2).
 
 Real Structured Streaming derives its watermark from observed max event
 time minus a fixed delay; the paper's listings instead script an explicit
@@ -339,9 +340,12 @@ def _snapshots(spark: SparkSession, logs: Mapping[str, EventLog]) -> Iterator[tu
     ``ptime`` as int64 ns and its schema inferred from all of its inserts,
     and pinned by ``localCheckpoint``, so steps scan it instead of a
     ``LocalRelation`` that Catalyst evaluates on the driver and every task
-    re-ships. The pin is lazy: the first step's job stores the blocks,
-    which saves a job per run. The pins are released on exit, also on
-    error."""
+    re-ships. A pin is one partition: the filter, windowing, views, joins
+    and unions keep its ``SinglePartition``, which satisfies every required
+    distribution, so a step plans no ``Exchange`` (AQE runs each shuffle
+    stage as a job: 4 per Q7 step at a pin per core) and is one job. The
+    pin is lazy: the first step's job stores the blocks. The pins are
+    released on exit, also on error."""
     require_utc(spark)
     pinned: Dict[str, DataFrame] = {}
     inserted: set = set()
@@ -354,7 +358,7 @@ def _snapshots(spark: SparkSession, logs: Mapping[str, EventLog]) -> Iterator[tu
                 )
             inserted.update(pd.DatetimeIndex(arrivals[PTIME].unique()))
             arrivals[PTIME] = arrivals[PTIME].to_numpy("datetime64[ns]").view("int64")
-            pinned[name] = spark.createDataFrame(arrivals).localCheckpoint(eager=False)
+            pinned[name] = spark.createDataFrame(arrivals).coalesce(1).localCheckpoint(eager=False)
 
         def snapshot(name: str, at) -> DataFrame:
             # A SQL string: a first pyspark.sql.functions call loads ~500 modules.

@@ -39,7 +39,11 @@ WINDOW_TAG = "repro.window"
 def _tagged(data: DataFrame, start: str, end: str) -> DataFrame:
     """``data`` less Hop's ``__ws``, plus ``wstart``/``wend`` from SQL expressions,
     each tagged with its name by one ``to`` (two ``withMetadata`` plan slower)."""
-    out = data.selectExpr("*", f"{start} AS {WSTART}", f"{end} AS {WEND}")
+    exprs = {WSTART: f"{start} AS {WSTART}", WEND: f"{end} AS {WEND}"}
+    out = data.selectExpr("*", *exprs.values())
+    if {WSTART, WEND} & set(out.columns[:-2]):  # the input's own: replace in place
+        kept = [exprs.pop(c, "`" + c.replace("`", "``") + "`") for c in out.columns[:-2]]
+        out = data.selectExpr(*kept, *exprs.values())
     tags = {c: {WINDOW_TAG: c} for c in (WSTART, WEND)}
     return out.to(StructType([
         StructField(f.name, f.dataType, f.nullable, tags.get(f.name, f.metadata))

@@ -8,9 +8,10 @@ starts. Everything the reproduction depends on after launch is set here:
 - broadcast joins off, so joins go through a shuffle at test scale;
 - session time zone UTC, so timestamps round-trip between pandas and
   Spark unchanged whatever the machine's locale (the engine checks it);
-- one shuffle partition per core (``defaultParallelism``): the engine's
-  per-step results are small, and the partition count moved P1 by only
-  ±10% between 4 and 64.
+- one shuffle partition per core (``defaultParallelism``).
+
+The shuffle settings shape table-mode queries (P4/P5, static tests) only:
+the engine pins each input as one partition, so its steps plan no shuffle.
 """
 from __future__ import annotations
 

@@ -31,15 +31,20 @@ def sql_query_fn(core_sql: str):
     """Wrap the relational core of an extended-dialect query (no EMIT
     clause) as the engine's query callable: each micro-batch registers the
     inputs' snapshots as temp views, then each TVF call's view over them,
-    and runs the rewritten statement through Catalyst."""
+    runs the rewritten statement through Catalyst, which analyzes it at
+    once, and drops the views, so none outlives the run's input pins."""
     sql, calls = rewrite_extended_sql(core_sql)
 
     def query(spark: SparkSession, **dfs: DataFrame) -> DataFrame:
-        for name, df in dfs.items():
-            df.createOrReplaceTempView(name)
-        for call in calls:
-            _apply(spark, call).createOrReplaceTempView(call.view)
-        return spark.sql(sql)
+        try:
+            for name, df in dfs.items():
+                df.createOrReplaceTempView(name)
+            for call in calls:
+                _apply(spark, call).createOrReplaceTempView(call.view)
+            return spark.sql(sql)
+        finally:
+            for view in [*dfs, *(c.view for c in calls)]:
+                spark.catalog.dropTempView(view)
 
     return query
 

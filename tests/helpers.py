@@ -1,8 +1,11 @@
 """Shared test utilities: frame comparison with timestamp-dtype
-normalization, and the paper's Listing 2 SQL text."""
+normalization, windowing-TVF result comparison, and the paper's Listing 2
+SQL text."""
 from __future__ import annotations
 
 import pandas as pd
+
+from repro.core.windows import WINDOW_TAG
 
 #: NEXMark Query 7 exactly as the paper's Listing 2 writes it (the item
 #: column is named ``item`` to match the example data; the paper uses
@@ -58,3 +61,13 @@ def assert_pdf_equal(
         got = got.sort_values(list(got.columns)).reset_index(drop=True)
         expected = expected.sort_values(list(expected.columns)).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, expected, check_dtype=False)
+
+
+def assert_same_tvf(got, want) -> None:
+    """Assert two windowing-TVF results (Spark DataFrames) have the same
+    schema (names, order, types, window tags), one tagged ``wstart``/``wend``
+    pair, and the same rows."""
+    assert got.schema == want.schema
+    tagged = [f.name for f in got.schema.fields if f.metadata.get(WINDOW_TAG)]
+    assert tagged == ["wstart", "wend"]
+    assert_pdf_equal(got.toPandas(), want.toPandas(), ordered=False)

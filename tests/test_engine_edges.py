@@ -17,8 +17,10 @@ from repro.nexmark import example as ex
 from repro.nexmark import generator as gen
 from repro.nexmark.perf import hot_counts_query
 from repro.nexmark.queries import make_hop_max, make_q5, make_q7, make_q8, make_tumble_max
+from repro.sqlext import run_extended_sql
 from repro.sqlext.executor import sql_query_fn
 from tests.helpers import LISTING_2_SQL
+from tests.test_engine_properties import q_union_count, split_bid_logs
 
 t = ex.t
 
@@ -134,8 +136,7 @@ class TestWindowTags:
             assert sc.statusTracker().getJobIdsForGroup("window-tags") == []
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
-            for view in ("tagged_bid", "Bid", "__tvf0"):
-                spark.catalog.dropTempView(view)
+            spark.catalog.dropTempView("tagged_bid")
 
     def test_two_tagged_wends_need_wend_col(self, spark):
         pp = gen.persons_pdf(n=30, seed=21, duration=timedelta(minutes=40))
@@ -159,6 +160,48 @@ class TestWindowTags:
         )
         assert r.stats["finalized_groups"] == 0
         assert r.stats["final_live_groups"] == 2
+
+
+
+class TestOneJobPerRecompute:
+    """Each input is pinned as one partition, which every step's plan
+    keeps, so no step needs a shuffle: a recompute is one Spark job, where
+    AQE would run each shuffle stage as a job of its own."""
+
+    RUNS = {
+        "q7": lambda spark: run_query(spark, {"bid": ex.bid_log()}, make_q7()),
+        "listing_2_sql": lambda spark: run_extended_sql(
+            spark, LISTING_2_SQL + " EMIT STREAM", {"Bid": ex.bid_log()}
+        ),
+        "hot_counts": lambda spark: run_query(
+            spark, {"bid": ex.bid_log()}, hot_counts_query(timedelta(minutes=10))
+        ),
+        "union": lambda spark: run_query(spark, split_bid_logs(), q_union_count),
+    }
+
+    @staticmethod
+    def _jobs(spark, group: str, call) -> tuple:
+        """``call()``'s result and the number of Spark jobs it ran."""
+        sc = spark.sparkContext
+        sc.setJobGroup(group, "jobs per recompute")
+        try:
+            out = call()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+    @pytest.mark.parametrize("shape", list(RUNS))
+    def test_run(self, spark, shape):
+        r, jobs = self._jobs(spark, f"one-job-{shape}", lambda: self.RUNS[shape](spark))
+        assert r.stats["recomputes"] > 0
+        assert jobs == r.stats["recomputes"]
+
+    def test_snapshot_query(self, spark):
+        df, jobs = self._jobs(
+            spark, "one-job-snapshot",
+            lambda: snapshot_query(spark, {"bid": ex.bid_log()}, make_q7()),
+        )
+        assert len(df) and jobs == 1
 
 
 class TestDegenerateRuns:

@@ -118,9 +118,9 @@ def test_delay_mode_final_state_equals_continuous(spark):
     assert delayed.emitted_rows() <= cont.emitted_rows()
 
 
-def test_two_input_union_equals_merged_log(spark):
-    """Engine over {a, b} with a union query == engine over a.merge(b) —
-    the TVR union respects the held-back watermark either way."""
+def split_bid_logs() -> dict:
+    """Two bid inputs ``a`` and ``b`` with two of the example's bids each
+    and the same watermark script."""
     half1 = EventLog(ex.BID_COLUMNS, etime_col="bidtime")
     half1.insert(t(8, 8), t(8, 7), 2, "A")
     half1.insert(t(8, 13), t(8, 5), 4, "C")
@@ -131,19 +131,27 @@ def test_two_input_union_equals_merged_log(spark):
     half2.insert(t(8, 15), t(8, 9), 5, "D")
     half2.watermark_to(t(8, 16), t(8, 12))
     half2.watermark_to(t(8, 21), t(8, 20))
+    return {"a": half1, "b": half2}
 
-    def union_q(spark_, a, b):
-        return q_count(spark_, a.unionByName(b))
+
+def q_union_count(spark, a, b):
+    return q_count(spark, a.unionByName(b))
+
+
+def test_two_input_union_equals_merged_log(spark):
+    """Engine over {a, b} with a union query == engine over a.merge(b) —
+    the TVR union respects the held-back watermark either way."""
+    logs = split_bid_logs()
 
     def plain_q(spark_, bid):
         return q_count(spark_, bid)
 
     split = run_query(
-        spark, {"a": half1, "b": half2}, union_q,
+        spark, logs, q_union_count,
         emit=EmitSpec(stream=True, after_watermark=True),
     )
     merged = run_query(
-        spark, {"bid": half1.merge(half2)}, plain_q,
+        spark, {"bid": logs["a"].merge(logs["b"])}, plain_q,
         emit=EmitSpec(stream=True, after_watermark=True),
     )
     assert_pdf_equal(split.changelog, merged.changelog)

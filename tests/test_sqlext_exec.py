@@ -4,6 +4,7 @@ from datetime import timedelta
 
 import pandas as pd
 import pytest
+from pyspark.errors import AnalysisException
 
 from repro.core.windows import hop, tumble
 from repro.nexmark import example as ex
@@ -168,3 +169,33 @@ class TestDialectMatchesDataFrameApi:
             lambda df: hop(df, "bidtime", timedelta(minutes=10), timedelta(minutes=4)),
         )
 
+
+class TestTempViews:
+    """A run drops every temp view it registered, on return and on error:
+    a view left behind would read input pins the run has released."""
+
+    TUMBLE = (
+        "Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+        "dur => INTERVAL '10' MINUTE)"
+    )
+
+    @staticmethod
+    def _assert_none_left(spark):
+        for view in ("Bid", "__tvf0"):
+            assert not spark.catalog.tableExists(view), view
+
+    def test_dropped_after_run(self, spark, logs):
+        r = run_extended_sql(spark, LISTING_2_SQL + " EMIT STREAM", logs)
+        assert_pdf_equal(r.changelog, ex.LISTING_9)
+        self._assert_none_left(spark)
+
+    def test_dropped_when_statement_fails(self, spark, logs):
+        with pytest.raises(AnalysisException, match="nope"):
+            run_extended_sql(spark, f"SELECT nope FROM {self.TUMBLE}", logs)
+        self._assert_none_left(spark)
+
+    def test_dropped_when_run_fails(self, spark, logs):
+        # The statement analyzes; the engine then rejects its result.
+        with pytest.raises(ValueError, match="'ver'"):
+            run_extended_sql(spark, f"SELECT wend, price AS ver FROM {self.TUMBLE}", logs)
+        self._assert_none_left(spark)

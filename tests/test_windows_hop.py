@@ -5,12 +5,12 @@ from datetime import timedelta
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.windows import hop
+from repro.core.windows import hop, tumble
 from repro.nexmark import example as ex
 from repro.nexmark.generator import bids_pdf
 from repro.nexmark.queries import q5_duckdb_sql
 from repro.oracle import assert_equivalent
-from tests.helpers import assert_pdf_equal
+from tests.helpers import assert_pdf_equal, assert_same_tvf
 
 t = ex.t
 TEN = timedelta(minutes=10)
@@ -107,6 +107,14 @@ class TestGaps:
         df = spark.createDataFrame(pdf)
         out = hop(df, "bidtime", timedelta(minutes=2), TEN)
         assert out.count() == 0
+
+
+
+class TestRewindow:
+    def test_hop_of_tumble(self, bid_df):
+        """Hop over a tumbled input replaces its ``wstart``/``wend`` in place."""
+        twice = hop(tumble(bid_df, "bidtime", TEN), "bidtime", TEN, FIVE)
+        assert_same_tvf(twice, hop(bid_df, "bidtime", TEN, FIVE))
 
 
 class TestValidation:

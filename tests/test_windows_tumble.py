@@ -10,10 +10,11 @@ from repro.core.windows import tumble
 from repro.nexmark import example as ex
 from repro.nexmark.generator import bids_pdf
 from repro.oracle import assert_equivalent
-from tests.helpers import assert_pdf_equal
+from tests.helpers import assert_pdf_equal, assert_same_tvf
 
 t = ex.t
 TEN = timedelta(minutes=10)
+FIVE = timedelta(minutes=5)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,24 @@ class TestOffset:
         a = tumble(bid_df, "bidtime", TEN, offset=timedelta(minutes=3)).toPandas()
         b = tumble(bid_df, "bidtime", TEN, offset=timedelta(minutes=13)).toPandas()
         assert_pdf_equal(a, b, ordered=False)
+
+
+class TestRewindow:
+    """A TVF over an input that already has ``wstart``/``wend`` replaces
+    them in place: one tagged pair, as if applied to the input directly."""
+
+    def test_tumble_of_tumble(self, bid_df):
+        twice = tumble(tumble(bid_df, "bidtime", TEN), "bidtime", FIVE)
+        assert_same_tvf(twice, tumble(bid_df, "bidtime", FIVE))
+
+    def test_replaced_in_place(self, bid_df):
+        inner = tumble(bid_df, "bidtime", TEN).select(
+            "wend", "item", "bidtime", "wstart", "price"
+        )
+        out = tumble(inner, "bidtime", FIVE)
+        assert out.columns == inner.columns
+        direct = tumble(bid_df, "bidtime", FIVE)
+        assert_same_tvf(out.select(*direct.columns), direct)
 
 
 class TestValidation:
