@@ -8,9 +8,10 @@
 - ``EMIT [STREAM] AFTER DELAY d``      -> ``after_delay=d``
 - ``... AFTER DELAY d AND AFTER WATERMARK`` -> combined (Extension 7)
 
-``stream`` controls *how* the result TVR is rendered (changelog vs. table);
-``after_watermark``/``after_delay`` control *when* rows materialize. The
-textual parser for the clause lives in ``repro.sqlext.parser``.
+``stream`` records *how* the query asks for the result TVR to be rendered
+(changelog vs. table); ``after_watermark``/``after_delay`` control *when*
+rows materialize. The textual parser for the clause lives in
+``repro.sqlext.parser``.
 """
 from __future__ import annotations
 
@@ -26,8 +27,10 @@ class EmitSpec:
     Attributes
     ----------
     stream:
-        Render the changelog of the result TVR (with ``undo``/``ptime``/
-        ``ver`` metadata columns) instead of a table snapshot.
+        The requested rendering: the changelog of the result TVR (with
+        ``undo``/``ptime``/``ver`` metadata columns) rather than a table
+        snapshot. No engine code reads it, and only the parser's tests do:
+        a ``StreamResult`` always carries both renderings.
     after_watermark:
         Materialize a group's rows only once its input is complete, i.e.
         when the watermark passes the group's event-time upper bound.

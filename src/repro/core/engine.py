@@ -119,18 +119,24 @@ class TvrEngine:
         default: end of input) under the given emit spec. ``logs`` maps
         each query argument name to its input log."""
         until = None if until is None else pd.Timestamp(until)
-        # Every input's advance is a step; the watermark is their min (hold-back, §5).
-        marks = {name: log.watermark() for name, log in logs.items()}
-        held = [marks[n] for n, log in logs.items() if log.etime_col is not None]
-        effective = reduce(Watermark.combine_min, held) if held else Watermark()
-        ptimes = sorted({p for m in marks.values() for p, _ in m.updates})
-        advances = [(p, effective.at(p)) for p in ptimes]
         source = _Changes(self, logs, until)
         with closing(iter(source)) as steps:
             first = list(islice(steps, 1))  # fixes the key columns and wend
-            entries, stats = _emit(chain(first, steps), advances, emit, until, source.wend)
+            changes = chain(first, steps)
+            entries, stats = _emit(changes, _advances(logs), emit, until, source.wend)
         changelog = D.changelog_to_pdf(entries, source.columns)
         return StreamResult(source.columns, emit, changelog, stats)
+
+
+def _advances(logs: Mapping[str, EventLog]) -> List[tuple]:
+    """``(ptime, effective watermark)`` at every input's watermark advance:
+    the minimum over the inputs with an event-time column (hold-back, §5),
+    ``None`` until each of them has advanced."""
+    marks = {name: log.watermark() for name, log in logs.items()}
+    held = [marks[n] for n, log in logs.items() if log.etime_col is not None]
+    effective = reduce(Watermark.combine_min, held) if held else Watermark()
+    ptimes = sorted({p for m in marks.values() for p, _ in m.updates})
+    return [(p, effective.at(p)) for p in ptimes]
 
 
 class _Changes:
@@ -167,6 +173,11 @@ class _Changes:
         clash = [c for c in cols if c in D.META_COLS]
         if clash:
             raise ValueError(f"result column {clash[0]!r} is a changelog column")
+        nested = [f.name for f in df.schema.fields
+                  if f.dataType.typeName() in ("array", "map", "struct")]
+        if nested:
+            raise ValueError(f"result column {nested[0]!r} is not scalar; "
+                             "the changelog is diffed by whole rows")
         tags = {f.name: f.metadata.get(WINDOW_TAG) for f in df.schema.fields}
         key_cols = self.engine.key_cols
         if key_cols is None:
@@ -319,19 +330,6 @@ def run_query(
     return eng.run(logs, emit=emit, until=until)
 
 
-def snapshot_query(
-    spark: SparkSession, logs: Mapping[str, EventLog], query: QueryFn, at=None
-) -> pd.DataFrame:
-    """Classic instantaneous-view semantics: run the query once over the
-    inputs' snapshots at processing time ``at`` — no completeness
-    reasoning, no late-drop. This is the point-in-time baseline the engine's
-    continuous table view is tested against (they agree absent late data).
-    The result is collected, as a pandas frame, before the inputs are
-    released from Spark."""
-    with _snapshots(spark, logs) as (snapshots, _):
-        return query(spark, **snapshots(at)).toPandas()
-
-
 @contextmanager
 def _snapshots(spark: SparkSession, logs: Mapping[str, EventLog]) -> Iterator[tuple]:
     """Yield ``at -> {name: snapshot DataFrame}``, the prefix ``ptime <= at``
@@ -361,7 +359,7 @@ def _snapshots(spark: SparkSession, logs: Mapping[str, EventLog]) -> Iterator[tu
             pinned[name] = spark.createDataFrame(arrivals).coalesce(1).localCheckpoint(eager=False)
 
         def snapshot(name: str, at) -> DataFrame:
-            # A SQL string: a first pyspark.sql.functions call loads ~500 modules.
+            # A SQL string, like every column the engine and windowing build.
             keep = "true" if at is None else f"{PTIME} <= {pd.Timestamp(at).value}"
             return pinned[name].where(keep).select(*logs[name].columns)
 

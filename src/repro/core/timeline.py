@@ -49,7 +49,7 @@ class EventLog:
         if etime_col is not None and etime_col not in self.columns:
             raise ValueError(f"etime_col {etime_col!r} not in columns {columns}")
         self.etime_col = etime_col
-        self._frame = pd.DataFrame([], columns=[PTIME] + self.columns)
+        self._frame = pd.DataFrame([], columns=[PTIME] + self.columns).astype({PTIME: "M8[ns]"})
         self._appended: list[tuple] = []  # insert() rows not yet in _frame
         self._wms: list[tuple] = []  # (ptime, etime) advances in ptime order
         self._max_ptime: Optional[pd.Timestamp] = None
@@ -147,34 +147,9 @@ class EventLog:
             np.array([p for p, _ in self._wms], dtype="datetime64[ns]"),
         ]))
 
-    def ptimes(self) -> list:
-        """Sorted distinct processing times of all events."""
-        return list(pd.DatetimeIndex(np.unique(self.events)))
-
     def watermark(self) -> Watermark:
         """The input watermark timeline as a :class:`Watermark`."""
         return Watermark.from_updates(self._wms)
-
-    def validate_watermark(self) -> pd.DataFrame:
-        """Return the inserts (as :meth:`arrivals_pdf` rows) that *violate*
-        the watermark: rows whose event timestamp is strictly below the
-        watermark in force at their arrival, i.e. advanced at an earlier
-        ptime. A row with etime exactly equal to the watermark is valid —
-        with half-open windows ``[ws, we)`` it can never land in a grouping
-        the watermark has already completed (the paper's own example
-        contains such a row: bid C at 8:05 after WM -> 8:05). Empty for a
-        well-formed log; a heuristic watermark may legitimately be violated
-        and the engine then treats those rows as late data."""
-        arr = self.arrivals_pdf()
-        updates = self.watermark().updates
-        if not updates:
-            return arr.iloc[:0]
-        wm_ptimes = pd.DatetimeIndex([p for p, _ in updates])
-        wm_etimes = pd.DatetimeIndex([e for _, e in updates])
-        i = wm_ptimes.searchsorted(arr[PTIME].to_numpy(), side="left") - 1
-        in_force = wm_etimes[np.maximum(i, 0)]
-        bad = (i >= 0) & (arr[self.etime_col].to_numpy() < in_force)
-        return arr[bad].reset_index(drop=True)
 
     # -- snapshot (table) encoding ---------------------------------------
 
@@ -186,18 +161,3 @@ class EventLog:
     def arrivals_pdf(self, at=None) -> pd.DataFrame:
         """Snapshot plus a leading ``ptime`` arrival column, sorted by it."""
         return self._upto(at).copy()
-
-    # -- combination ------------------------------------------------------
-
-    def merge(self, other: "EventLog") -> "EventLog":
-        """Union two same-schema logs into one, interleaving by ptime and
-        combining watermarks with the pointwise minimum (hold-back)."""
-        if self.columns != other.columns or self.etime_col != other.etime_col:
-            raise ValueError("merge requires identical schemas")
-        frames = [f for f in (self.arrivals_pdf(), other.arrivals_pdf()) if len(f)]
-        return EventLog.from_pandas(
-            pd.concat(frames, ignore_index=True) if frames else self.arrivals_pdf(),
-            ptime_col=PTIME,
-            etime_col=self.etime_col,
-            watermarks=Watermark.combine_min(self.watermark(), other.watermark()).updates,
-        )

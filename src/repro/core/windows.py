@@ -18,8 +18,10 @@ Windows are second-granular; the paper's examples use whole minutes.
 ``tumble``/``hop`` tag ``wstart``/``wend`` in Spark column metadata (key
 :data:`WINDOW_TAG`, value the name), as ``EventTimeWatermark`` marks its
 columns; the engine reads a result's grouping off its schema. They build
-columns with ``selectExpr``: a first ``pyspark.sql.functions`` call loads
-~500 modules.
+columns from SQL strings with ``selectExpr``, the idiom of the engine and
+the dialect front end. That saves no imports: ``from pyspark.sql import
+DataFrame`` already loads ``pyspark.sql.functions``, and with a live session
+a first ``F.count(F.lit(1))`` loads 2 more modules (pyspark 4.1.2).
 """
 from __future__ import annotations
 

@@ -1,10 +1,11 @@
-"""Shared test utilities: frame comparison with timestamp-dtype
-normalization, windowing-TVF result comparison, and the paper's Listing 2
-SQL text."""
+"""Shared test utilities: a log's ptimes, the point-in-time query oracle,
+frame comparison with timestamp-dtype normalization, windowing-TVF result
+comparison, and the paper's Listing 2 SQL text."""
 from __future__ import annotations
 
 import pandas as pd
 
+from repro.core.engine import _snapshots
 from repro.core.windows import WINDOW_TAG
 
 #: NEXMark Query 7 exactly as the paper's Listing 2 writes it (the item
@@ -71,3 +72,18 @@ def assert_same_tvf(got, want) -> None:
     tagged = [f.name for f in got.schema.fields if f.metadata.get(WINDOW_TAG)]
     assert tagged == ["wstart", "wend"]
     assert_pdf_equal(got.toPandas(), want.toPandas(), ordered=False)
+
+
+def ptimes(log) -> pd.DatetimeIndex:
+    """The distinct processing times of ``log``'s events, sorted."""
+    return pd.DatetimeIndex(log.events).unique()
+
+
+def snapshot_query(spark, logs, query, at=None) -> pd.DataFrame:
+    """Classic instantaneous-view semantics: run ``query`` once over the
+    inputs' snapshots at processing time ``at`` (all rows if None), with no
+    completeness reasoning and no late drop, and collect the result before
+    the inputs are released. The engine's continuous table view equals it
+    absent late data."""
+    with _snapshots(spark, logs) as (snapshots, _):
+        return query(spark, **snapshots(at)).toPandas()

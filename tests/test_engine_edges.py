@@ -1,5 +1,6 @@
 """Engine edge cases: convenience entry points, error paths, empty and
 degenerate inputs, and SQL-builder arithmetic at awkward instants."""
+import re
 from datetime import timedelta
 
 import pandas as pd
@@ -7,7 +8,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import EmitSpec, run_query
-from repro.core.engine import TvrEngine, snapshot_query
+from repro.core.engine import TvrEngine
 from repro.core.timeline import EventLog
 from repro.core.windows import (
     WINDOW_TAG, hop_starts_sql, tumble, tumble_end_sql, tumble_start_sql,
@@ -19,7 +20,7 @@ from repro.nexmark.perf import hot_counts_query
 from repro.nexmark.queries import make_hop_max, make_q5, make_q7, make_q8, make_tumble_max
 from repro.sqlext import run_extended_sql
 from repro.sqlext.executor import sql_query_fn
-from tests.helpers import LISTING_2_SQL
+from tests.helpers import LISTING_2_SQL, snapshot_query
 from tests.test_engine_properties import q_union_count, split_bid_logs
 
 t = ex.t
@@ -67,6 +68,17 @@ class TestErrorPaths:
 
         with pytest.raises(ValueError, match="'ver'"):
             run_query(spark, {"bid": ex.bid_log()}, q, emit=EmitSpec(stream=True))
+
+    @pytest.mark.parametrize("query, column", [
+        (lambda s, bid: tumble(bid, "bidtime", 600).groupBy("wstart", "wend")
+         .agg({"item": "collect_list"}), "collect_list(item)"),
+        (lambda s, bid: bid.selectExpr("map(item, price) AS m"), "m"),
+        (lambda s, bid: bid.selectExpr("struct(item, price) AS s"), "s"),
+    ], ids=["array", "map", "struct"])
+    def test_nested_column_rejected(self, spark, query, column):
+        # The changelog diffs rows as hashable tuples.
+        with pytest.raises(ValueError, match=re.escape(f"{column!r} is not scalar")):
+            run_query(spark, {"bid": ex.bid_log()}, query, emit=EmitSpec(stream=True))
 
     def test_empty_log_rejected(self, spark):
         empty = EventLog(["etime", "v"], etime_col="etime")

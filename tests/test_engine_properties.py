@@ -12,12 +12,11 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import EmitSpec, run_query
-from repro.core.engine import snapshot_query
 from repro.core.timeline import EventLog
 from repro.core.windows import tumble
 from repro.nexmark import example as ex
 from repro.nexmark.generator import bid_event_log
-from tests.helpers import assert_pdf_equal
+from tests.helpers import assert_pdf_equal, ptimes, snapshot_query
 
 t = ex.t
 TEN = timedelta(minutes=10)
@@ -69,7 +68,7 @@ def test_duality_on_random_streams(spark, qname, seed):
         n_auctions=10, max_delay=timedelta(minutes=3),
     )
     r = run_query(spark, {"bid": log}, QUERIES[qname], emit=EmitSpec(stream=True))
-    for at in log.ptimes():
+    for at in ptimes(log):
         snap = snapshot_query(spark, {"bid": log}, QUERIES[qname], at=at)
         assert_pdf_equal(r.table(at=at), snap, ordered=False)
 
@@ -88,7 +87,7 @@ def test_watermark_gated_table_is_prefix_of_final(spark, seed):
     )
     final = r.table()
     final_rows = set(map(tuple, final.itertuples(index=False, name=None)))
-    for at in log.ptimes():
+    for at in ptimes(log):
         here = set(map(tuple, r.table(at=at).itertuples(index=False, name=None)))
         assert here <= final_rows
 
@@ -99,7 +98,7 @@ def test_changelog_integration_never_negative(spark):
     log = bid_event_log(n=150, n_batches=6, seed=55, n_auctions=5,
                         duration=timedelta(minutes=45))
     r = run_query(spark, {"bid": log}, q_sum, emit=EmitSpec(stream=True))
-    for at in log.ptimes():
+    for at in ptimes(log):
         r.table(at=at)  # raises inside integrate_changelog on violation
 
 
@@ -136,25 +135,6 @@ def split_bid_logs() -> dict:
 
 def q_union_count(spark, a, b):
     return q_count(spark, a.unionByName(b))
-
-
-def test_two_input_union_equals_merged_log(spark):
-    """Engine over {a, b} with a union query == engine over a.merge(b) —
-    the TVR union respects the held-back watermark either way."""
-    logs = split_bid_logs()
-
-    def plain_q(spark_, bid):
-        return q_count(spark_, bid)
-
-    split = run_query(
-        spark, logs, q_union_count,
-        emit=EmitSpec(stream=True, after_watermark=True),
-    )
-    merged = run_query(
-        spark, {"bid": logs["a"].merge(logs["b"])}, plain_q,
-        emit=EmitSpec(stream=True, after_watermark=True),
-    )
-    assert_pdf_equal(split.changelog, merged.changelog)
 
 
 def _watermark_violating_log(seed: int) -> EventLog:
@@ -211,5 +191,5 @@ def test_late_rows_dropped_exactly(spark, seed, spec, lateness):
     assert (r.stats["dropped_late_rows"] == 0) == all(kept)
     for _, group_rows in r.changelog.groupby(["wstart", "wend"]):
         assert list(group_rows["ver"]) == list(range(len(group_rows)))
-    for at in sorted(set(log.ptimes()) | set(r.changelog["ptime"])):
+    for at in sorted(set(ptimes(log)) | set(r.changelog["ptime"])):
         r.table(at=at)  # raises on an undo of a row not present

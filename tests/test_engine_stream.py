@@ -5,11 +5,10 @@ import pandas as pd
 import pytest
 
 from repro.core import EmitSpec, run_query
-from repro.core.engine import snapshot_query
 from repro.nexmark import example as ex
 from repro.nexmark.queries import make_q7, q7_duckdb_sql
 from repro.oracle import assert_equivalent
-from tests.helpers import assert_pdf_equal
+from tests.helpers import assert_pdf_equal, snapshot_query
 
 t = ex.t
 

@@ -20,7 +20,7 @@ from repro.core import EmitSpec, run_query
 from repro.core.timeline import EventLog
 from repro.core.windows import tumble
 from repro.cql.heartbeat import reorder_with_heartbeat
-from tests.helpers import assert_pdf_equal
+from tests.helpers import assert_pdf_equal, ptimes
 
 T0 = pd.Timestamp("2023-01-01 08:00:00")
 COLUMNS = ["etime", "v", "item"]
@@ -84,16 +84,6 @@ def brute_snapshot(rows, at) -> pd.DataFrame:
     return frame.loc[[r[0] <= at for r in ordered]].reset_index(drop=True)
 
 
-def brute_violations(rows, wms) -> list:
-    """Rows whose etime is below the watermark advanced at an earlier ptime."""
-    bad = []
-    for r in sorted(rows, key=lambda r: r[0]):
-        in_force = [e for p, e, _ in wms if p < r[0]]
-        if in_force and r[1] < max(in_force):
-            bad.append(r)
-    return bad
-
-
 def brute_heartbeat(rows, wms):
     """The heartbeat buffer row by row, in log order: a ptime's inserts,
     then its watermark advances."""
@@ -121,16 +111,14 @@ def brute_heartbeat(rows, wms):
 def test_builder_and_from_pandas_agree(script):
     rows, wms = script
     built, framed = built_log(rows, wms), pandas_log(rows, wms)
-    assert len(built.events) == len(framed.events) == len(rows) + len(wms)
-    assert built.ptimes() == framed.ptimes()
+    assert len(built.events) == len(rows) + len(wms)
+    assert list(built.events) == list(framed.events)
+    pd.testing.assert_frame_equal(built.arrivals_pdf(), framed.arrivals_pdf())
     assert built.watermark() == framed.watermark()
-    for at in [ptime(-1)] + built.ptimes():
+    for at in [ptime(-1), *ptimes(built)]:
         want = brute_snapshot(rows, at)
         pd.testing.assert_frame_equal(built.snapshot_pdf(at), want)
         pd.testing.assert_frame_equal(framed.snapshot_pdf(at), want)
-    want_bad = [r[0] for r in brute_violations(rows, wms)]
-    assert list(built.validate_watermark()["ptime"]) == want_bad
-    assert list(framed.validate_watermark()["ptime"]) == want_bad
     heartbeat = reorder_with_heartbeat(built)
     for got, want in zip(heartbeat, brute_heartbeat(rows, wms)):
         assert list(got.itertuples(index=False, name=None)) == want

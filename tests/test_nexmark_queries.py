@@ -6,11 +6,10 @@ from datetime import timedelta
 import pytest
 
 from repro.core import EmitSpec, run_query
-from repro.core.engine import snapshot_query
 from repro.nexmark import generator as gen
 from repro.nexmark import queries as Q
 from repro.oracle import assert_equivalent
-from tests.helpers import assert_pdf_equal
+from tests.helpers import assert_pdf_equal, snapshot_query
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,11 @@
 """The engine, windowing and SQL front-end modules build every column from
-SQL expression strings and never import ``pyspark.sql.functions``: a first
-call into it loads some 500 modules, which the SQL path's memory footprint
-does not pay. Checked on the source, without starting a JVM."""
+SQL expression strings and never import ``pyspark.sql.functions``: one
+idiom, the SQL text the dialect front end writes too. It is not an import
+saving. Measured with pyspark 4.1.2: ``from pyspark.sql import DataFrame``
+already puts ``pyspark.sql.functions`` in ``sys.modules``; with a live
+session the first ``F.count(F.lit(1))`` loads 2 more modules (746 -> 748,
+``pyspark.sql.classic`` and its ``column``), and none once a job has run.
+Checked on the source, without starting a JVM."""
 import ast
 import pathlib
 

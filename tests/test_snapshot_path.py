@@ -15,9 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EmitSpec, run_query
-from repro.core.engine import snapshot_query
 from repro.core.timeline import EventLog
 from repro.nexmark import example as ex
+from tests.helpers import ptimes, snapshot_query
 
 T0 = pd.Timestamp("2023-01-01 08:00:00")
 COLUMNS = ["etime", "price", "item", "qty"]
@@ -56,7 +56,7 @@ def test_identity_snapshot_equals_snapshot_pdf(spark, script):
         ptime_col="ptime", etime_col="etime", watermarks=wms,
     )
     before_first = log.arrivals_pdf()["ptime"].iloc[0] - pd.Timedelta(1, "ns")
-    for at in [before_first, *log.ptimes()]:
+    for at in [before_first, *ptimes(log)]:
         got = snapshot_query(spark, {"bid": log}, lambda s, bid: bid, at=at)
         pd.testing.assert_frame_equal(got, log.snapshot_pdf(at).reset_index(drop=True))
 

@@ -4,9 +4,10 @@ from datetime import timedelta
 import pandas as pd
 import pytest
 
-from repro.core.engine import snapshot_query
 from repro.core.timeline import EventLog
 from repro.nexmark import example as ex
+from tests.helpers import ptimes, snapshot_query
+from tests.reference import late_rows
 
 t = ex.t
 
@@ -120,25 +121,26 @@ class TestWatermarkView:
         assert w.at(t(8, 21)) == t(8, 20)
 
     def test_validate_watermark_clean_log(self):
-        assert ex.bid_log().validate_watermark().empty
+        assert late_rows(ex.bid_log()) == 0
 
     def test_validate_watermark_catches_violation(self):
         log = EventLog(["etime", "v"], etime_col="etime")
         log.watermark_to(t(8, 10), t(8, 5))
-        log.insert(t(8, 11), t(8, 4), 1)  # etime 8:04 <= wm 8:05
-        bad = log.validate_watermark()
-        assert list(bad["v"]) == [1] and list(bad["ptime"]) == [t(8, 11)]
+        log.insert(t(8, 10), t(8, 0), 0)  # before the advance at its ptime
+        log.insert(t(8, 11), t(8, 4), 1)  # etime 8:04 < wm 8:05: late
+        log.insert(t(8, 12), t(8, 5), 2)  # at the watermark: on time
+        assert late_rows(log) == 1
 
 
 class TestPtimes:
     def test_distinct_sorted(self):
-        assert small_log().ptimes() == [t(8, 1), t(8, 2), t(8, 3)]
+        assert list(ptimes(small_log())) == [t(8, 1), t(8, 2), t(8, 3)]
 
     def test_paper_example_ptimes(self):
-        assert len(ex.bid_log().ptimes()) == 10
+        assert len(ptimes(ex.bid_log())) == 10
 
     def test_end_ptime(self):
-        assert small_log().ptimes()[-1] == t(8, 3)
+        assert small_log().events[-1] == t(8, 3)
 
     def test_counts(self):
         log = small_log()
@@ -167,45 +169,5 @@ class TestFromPandas:
             etime_col="etime",
             watermarks=[(t(8, 1), t(8, 5))],
         )
-        assert log.validate_watermark().empty
+        assert late_rows(log) == 0
         assert list(log.events) == [t(8, 1), t(8, 1)]
-
-
-class TestMerge:
-    def _mk(self, rows, wms):
-        log = EventLog(["etime", "v"], etime_col="etime")
-        events = [(p, 0, (e, v)) for p, e, v in rows] + [(p, 1, e) for p, e in wms]
-        for p, kind, payload in sorted(events, key=lambda x: (x[0], x[1])):
-            if kind == 0:
-                log.insert(p, *payload)
-            else:
-                log.watermark_to(p, payload)
-        return log
-
-    def test_merge_interleaves_inserts(self):
-        a = self._mk([(t(8, 1), t(8, 0), 1)], [(t(8, 5), t(8, 3))])
-        b = self._mk([(t(8, 2), t(8, 1), 2)], [(t(8, 4), t(8, 2))])
-        m = a.merge(b)
-        assert list(m.snapshot_pdf()["v"]) == [1, 2]
-
-    def test_merge_holds_back_watermark(self):
-        a = self._mk([(t(8, 1), t(8, 0), 1)], [(t(8, 5), t(8, 3))])
-        b = self._mk([(t(8, 2), t(8, 1), 2)], [(t(8, 4), t(8, 2))])
-        w = a.merge(b).watermark()
-        # Combined watermark is min(a, b): undefined until both advanced,
-        # then 8:02 (b's), never ahead of either input.
-        assert w.at(t(8, 4)) is None
-        assert w.at(t(8, 5)) == t(8, 2)
-
-    def test_merge_rejects_schema_mismatch(self):
-        a = EventLog(["x"], etime_col=None)
-        b = EventLog(["y"], etime_col=None)
-        a.insert(t(8, 0), 1)
-        b.insert(t(8, 0), 2)
-        with pytest.raises(ValueError, match="identical schemas"):
-            a.merge(b)
-
-    def test_merge_preserves_duration(self):
-        a = self._mk([(t(8, 1), t(8, 0), 1)], [])
-        b = self._mk([(t(8, 9), t(8, 8), 2)], [])
-        assert a.merge(b).ptimes()[-1] == t(8, 9)
