@@ -5,6 +5,7 @@ import pytest
 
 from repro.nexmark import generator as gen
 from repro.nexmark import queries as Q
+from repro.sqlext.executor import sql_query_fn
 
 N = 600_000
 
@@ -27,38 +28,37 @@ def tables(spark):
         d.unpersist()
 
 
-def _bench(benchmark, fn, min_rows=0):
-    cnt = benchmark.pedantic(fn, rounds=3, iterations=1, warmup_rounds=1)
+def _bench(benchmark, spark, tables, sql, min_rows=0):
+    bid, person, auction = tables
+    query = sql_query_fn(sql)
+    cnt = benchmark.pedantic(
+        lambda: query(spark, bid=bid, person=person, auction=auction).count(),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
     assert cnt >= min_rows
     benchmark.extra_info["output_rows"] = cnt
     benchmark.extra_info["input_bids"] = N
 
 
 def test_bench_q1_currency_conversion(benchmark, spark, tables):
-    bid, _, _ = tables
-    _bench(benchmark, lambda: Q.q1(spark, bid).count(), min_rows=N)
+    _bench(benchmark, spark, tables, Q.Q1_SQL, min_rows=N)
 
 
 def test_bench_q2_selection(benchmark, spark, tables):
-    bid, _, _ = tables
-    _bench(benchmark, lambda: Q.make_q2()(spark, bid).count())
+    _bench(benchmark, spark, tables, Q.q2_sql())
 
 
 def test_bench_q3_join(benchmark, spark, tables):
-    bid, person, auction = tables
-    _bench(benchmark, lambda: Q.make_q3()(spark, auction, person).count())
+    _bench(benchmark, spark, tables, Q.q3_sql())
 
 
 def test_bench_q5_hot_items(benchmark, spark, tables):
-    bid, _, _ = tables
-    _bench(benchmark, lambda: Q.make_q5()(spark, bid).count(), min_rows=1)
+    _bench(benchmark, spark, tables, Q.q5_sql(), min_rows=1)
 
 
 def test_bench_q7_highest_bid(benchmark, spark, tables):
-    bid, _, _ = tables
-    _bench(benchmark, lambda: Q.make_q7()(spark, bid).count(), min_rows=1)
+    _bench(benchmark, spark, tables, Q.q7_sql(), min_rows=1)
 
 
 def test_bench_q8_new_users(benchmark, spark, tables):
-    bid, person, auction = tables
-    _bench(benchmark, lambda: Q.make_q8()(spark, person, auction).count())
+    _bench(benchmark, spark, tables, Q.q8_sql())

@@ -23,6 +23,7 @@ from pyspark.sql import functions as F
 from ..core import EmitSpec, run_query
 from ..core.windows import WEND, hop, tumble
 from ..cql import cql_q7
+from ..sqlext.executor import sql_query_fn
 from . import generator as gen
 from . import queries as Q
 
@@ -230,17 +231,18 @@ def nexmark_suite_experiment(
     auction = spark.createDataFrame(aucts).cache()
     for d in (bid, person, auction):
         d.count()
+    tables = dict(bid=bid, person=person, auction=auction)
     cases = [
-        ("Q1 currency conversion", lambda: Q.q1(spark, bid).count()),
-        ("Q2 selection", lambda: Q.make_q2()(spark, bid).count()),
-        ("Q3 local item suggestion", lambda: Q.make_q3()(spark, auction, person).count()),
-        ("Q5 hot items", lambda: Q.make_q5()(spark, bid).count()),
-        ("Q7 highest bid", lambda: Q.make_q7()(spark, bid).count()),
-        ("Q8 new users", lambda: Q.make_q8()(spark, person, auction).count()),
+        ("Q1 currency conversion", Q.Q1_SQL),
+        ("Q2 selection", Q.q2_sql()),
+        ("Q3 local item suggestion", Q.q3_sql()),
+        ("Q5 hot items", Q.q5_sql()),
+        ("Q7 highest bid", Q.q7_sql()),
+        ("Q8 new users", Q.q8_sql()),
     ]
     rows = []
-    for name, fn in cases:
-        cnt, secs = _timed(fn)
+    for name, sql in cases:
+        cnt, secs = _timed(lambda: sql_query_fn(sql)(spark, **tables).count())
         rows.append(
             {
                 "query": name,

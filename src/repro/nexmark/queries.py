@@ -1,51 +1,49 @@
 """NEXMark queries over the TVR model (paper §4 + Appendix B workloads).
 
-Each query is a pure ``(spark, **snapshots) -> DataFrame`` function — the
-shape the TVR engine evaluates per micro-batch — built exclusively from the
-DataFrame API and the Tumble/Hop TVFs, so the whole plan goes through
-Catalyst. For every query there is a DuckDB-dialect SQL builder used by the
-correctness oracle (``repro.oracle.assert_equivalent``) to check the
-point-in-time (table) semantics on identical snapshots.
+Each query is one text in the paper's dialect (§6: ``Tumble``/``Hop``
+calls, standard SQL otherwise), the single definition of what it computes
+over streams and tables alike. ``sql_query_fn(text)`` makes it the TVR
+engine's ``(spark, **snapshots) -> DataFrame`` callable; the tests derive
+each query's DuckDB twin from the same text (``tests/twins.py``). Input
+names are case-insensitive on both sides, so ``Bid`` reads a ``bid`` log.
 
-Q7 — the paper's centerpiece — is written exactly as Listing 2: Tumble the
-bids into 10-minute windows, take the per-window MAX price, and join bids
-back on (price = max AND bidtime within the window).
+Q7 — the paper's centerpiece — is Listing 2 with its window width
+substituted. ``q7_duckdb_sql`` stays hand-written: it is the anchor that
+checks Listing 2's answer without going through the dialect front end, and
+tvrbench's expected answer. Dialect differences are settled in the text
+itself, so Spark and DuckDB type each column alike (Q1 converts ``price``
+to DOUBLE before scaling it).
 """
 from __future__ import annotations
 
 from datetime import timedelta
 from typing import Callable
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-
-from ..core.windows import hop, tumble
+from ..sqlext.executor import sql_query_fn
+from .example import LISTING_2_SQL
 
 
 def _secs(d: timedelta) -> int:
     return int(d.total_seconds())
 
 
+def _interval(d: timedelta) -> str:
+    """``d`` as the dialect's interval literal, in minutes when whole."""
+    s = _secs(d)
+    return f"INTERVAL '{s // 60}' MINUTE" if s % 60 == 0 else f"INTERVAL '{s}' SECOND"
+
+
 # -- Q7: highest-priced bid per tumbling window ----------------------------
 
 
+def q7_sql(dur: timedelta = timedelta(minutes=10)) -> str:
+    """Listing 2 with window width ``dur``; at 10 minutes, Listing 2 itself."""
+    return LISTING_2_SQL.replace("INTERVAL '10' MINUTE", _interval(dur))
+
+
 def make_q7(dur: timedelta = timedelta(minutes=10)) -> Callable:
-    """Listing 2 as a DataFrame program, parameterized by window width."""
-
-    def q7(spark: SparkSession, bid: DataFrame) -> DataFrame:
-        tumble_bid = tumble(bid, "bidtime", dur)
-        max_bid = tumble_bid.groupBy("wstart", "wend").agg(
-            F.max("price").alias("maxprice")
-        )
-        b, m = bid.alias("b"), max_bid.alias("m")
-        return b.join(
-            m,
-            (F.col("b.price") == F.col("m.maxprice"))
-            & (F.col("b.bidtime") >= F.col("m.wend") - F.expr(f"INTERVAL {_secs(dur)} SECOND"))
-            & (F.col("b.bidtime") < F.col("m.wend")),
-        ).select("m.wstart", "m.wend", "b.bidtime", "b.price", "b.item")
-
-    return q7
+    """Listing 2, parameterized by window width, as the engine's query."""
+    return sql_query_fn(q7_sql(dur))
 
 
 def q7_duckdb_sql(dur: timedelta = timedelta(minutes=10)) -> str:
@@ -74,189 +72,67 @@ def q7_duckdb_sql(dur: timedelta = timedelta(minutes=10)) -> str:
 
 # -- Q1: currency conversion (stateless map) -------------------------------
 
-EUR_RATE = 0.908
-
-
-def q1(spark: SparkSession, bid: DataFrame) -> DataFrame:
-    return bid.select(
-        "item",
-        "bidder",
-        (F.col("price") * F.lit(EUR_RATE)).alias("price_eur"),
-        "bidtime",
-    )
-
-
-Q1_DUCKDB = f"""
-    SELECT item, bidder, price * {EUR_RATE} AS price_eur, bidtime FROM bid
-"""
+Q1_SQL = """
+SELECT item, bidder, CAST(price AS DOUBLE) * 0.908 AS price_eur, bidtime
+FROM Bid
+""".strip()
 
 
 # -- Q2: selection on a set of auctions (stateless filter) -----------------
 
 
-def make_q2(modulus: int = 123) -> Callable:
-    def q2(spark: SparkSession, bid: DataFrame) -> DataFrame:
-        return bid.filter(F.col("item") % modulus == 0).select("item", "price")
-
-    return q2
-
-
-def q2_duckdb_sql(modulus: int = 123) -> str:
-    return f"SELECT item, price FROM bid WHERE item % {modulus} = 0"
+def q2_sql(modulus: int = 123) -> str:
+    return f"SELECT item, price FROM Bid WHERE item % {modulus} = 0"
 
 
 # -- Q3: local item suggestion (incremental join) --------------------------
 
 
-def make_q3(category: int = 10, states=("OR", "ID", "CA")) -> Callable:
-    def q3(spark: SparkSession, auction: DataFrame, person: DataFrame) -> DataFrame:
-        a, p = auction.alias("a"), person.alias("p")
-        return (
-            a.join(p, F.col("a.seller") == F.col("p.id"))
-            .filter(
-                (F.col("a.category") == category) & F.col("p.state").isin(*states)
-            )
-            .select(
-                F.col("p.name").alias("name"),
-                F.col("p.city").alias("city"),
-                F.col("p.state").alias("state"),
-                F.col("a.id").alias("auction"),
-            )
-        )
-
-    return q3
-
-
-def q3_duckdb_sql(category: int = 10, states=("OR", "ID", "CA")) -> str:
+def q3_sql(category: int = 10, states=("OR", "ID", "CA")) -> str:
     st = ", ".join(f"'{s}'" for s in states)
     return f"""
-        SELECT p.name AS name, p.city AS city, p.state AS state, a.id AS auction
-        FROM auction a JOIN person p ON a.seller = p.id
-        WHERE a.category = {category} AND p.state IN ({st})
-    """
+SELECT P.name, P.city, P.state, A.id AS auction
+FROM Auction A JOIN Person P ON A.seller = P.id
+WHERE A.category = {category} AND P.state IN ({st})
+""".strip()
 
 
 # -- Q5: hot items (hopping-window count, per-window argmax) ---------------
 
 
-def make_q5(
-    dur: timedelta = timedelta(minutes=10), hopsize: timedelta = timedelta(minutes=5)
-) -> Callable:
-    def q5(spark: SparkSession, bid: DataFrame) -> DataFrame:
-        hb = hop(bid, "bidtime", dur, hopsize)
-        counts = hb.groupBy("wstart", "wend", "item").agg(
-            F.count(F.lit(1)).alias("n_bids")
-        )
-        maxc = counts.groupBy("wstart", "wend").agg(F.max("n_bids").alias("max_bids"))
-        c, m = counts.alias("c"), maxc.alias("m")
-        return c.join(
-            m,
-            (F.col("c.wstart") == F.col("m.wstart"))
-            & (F.col("c.wend") == F.col("m.wend"))
-            & (F.col("c.n_bids") == F.col("m.max_bids")),
-        ).select("c.wstart", "c.wend", "c.item", "c.n_bids")
-
-    return q5
-
-
-def q5_duckdb_sql(
+def q5_sql(
     dur: timedelta = timedelta(minutes=10), hopsize: timedelta = timedelta(minutes=5)
 ) -> str:
-    """Hop oracle: with hopsize dividing dur, the k = dur/hopsize phase
-    windows containing a timestamp are a UNION ALL of shifted time_buckets."""
-    d, h = _secs(dur), _secs(hopsize)
-    if d % h != 0:
-        raise ValueError("oracle requires hopsize to divide dur")
-    phases = []
-    for i in range(d // h):
-        off = i * h
-        phases.append(
-            f"SELECT *, time_bucket(INTERVAL '{d} seconds', "
-            f"bidtime - INTERVAL '{off} seconds') + INTERVAL '{off} seconds' AS wstart "
-            f"FROM bid"
-        )
-    union = " UNION ALL ".join(phases)
     return f"""
-        WITH hopped AS ({union}),
-        counts AS (
-            SELECT wstart, wstart + INTERVAL '{d} seconds' AS wend, item,
-                   COUNT(*) AS n_bids
-            FROM hopped GROUP BY wstart, item
-        ),
-        maxc AS (SELECT wstart, wend, MAX(n_bids) AS max_bids
-                 FROM counts GROUP BY wstart, wend)
-        SELECT c.wstart AS wstart, c.wend AS wend, c.item AS item,
-               c.n_bids AS n_bids
-        FROM counts c JOIN maxc m
-          ON c.wstart = m.wstart AND c.wend = m.wend AND c.n_bids = m.max_bids
-    """
+WITH Counts AS (
+  SELECT HopBid.wstart, HopBid.wend, HopBid.item, COUNT(*) AS n_bids
+  FROM Hop(
+    data    => TABLE(Bid),
+    timecol => DESCRIPTOR(bidtime),
+    dur     => {_interval(dur)},
+    hopsize => {_interval(hopsize)}) HopBid
+  GROUP BY HopBid.wstart, HopBid.wend, HopBid.item)
+SELECT C.wstart, C.wend, C.item, C.n_bids
+FROM Counts C,
+  (SELECT wstart, wend, MAX(n_bids) AS max_bids
+   FROM Counts GROUP BY wstart, wend) M
+WHERE C.wstart = M.wstart AND C.wend = M.wend AND C.n_bids = M.max_bids
+""".strip()
 
 
 # -- Q8: monitor new users (windowed stream-stream join) -------------------
 
 
-def make_q8(dur: timedelta = timedelta(minutes=20)) -> Callable:
-    def q8(spark: SparkSession, person: DataFrame, auction: DataFrame) -> DataFrame:
-        tp = tumble(person, "entrytime", dur).alias("p")
-        ta = tumble(auction, "atime", dur).alias("a")
-        return (
-            tp.join(
-                ta,
-                (F.col("p.id") == F.col("a.seller"))
-                & (F.col("p.wstart") == F.col("a.wstart")),
-            )
-            .select(
-                F.col("p.id").alias("id"),
-                F.col("p.name").alias("name"),
-                F.col("p.wstart").alias("wstart"),
-                F.col("p.wend").alias("wend"),
-            )
-            .distinct()
-        )
-
-    return q8
-
-
-def q8_duckdb_sql(dur: timedelta = timedelta(minutes=20)) -> str:
-    d = _secs(dur)
+def q8_sql(dur: timedelta = timedelta(minutes=20)) -> str:
     return f"""
-        SELECT DISTINCT p.id AS id, p.name AS name,
-               time_bucket(INTERVAL '{d} seconds', p.entrytime) AS wstart,
-               time_bucket(INTERVAL '{d} seconds', p.entrytime)
-                   + INTERVAL '{d} seconds' AS wend
-        FROM person p JOIN auction a ON p.id = a.seller
-        WHERE time_bucket(INTERVAL '{d} seconds', p.entrytime)
-            = time_bucket(INTERVAL '{d} seconds', a.atime)
-    """
-
-
-# -- windowed aggregate building blocks (Listings 6 and 8) -----------------
-
-
-def make_tumble_max(dur: timedelta = timedelta(minutes=10)) -> Callable:
-    """Listing 6: ``SELECT MAX(price), wstart, wend FROM Tumble(...)
-    GROUP BY wend`` (wstart is functionally dependent on wend)."""
-
-    def q(spark: SparkSession, bid: DataFrame) -> DataFrame:
-        return (
-            tumble(bid, "bidtime", dur)
-            .groupBy("wstart", "wend")
-            .agg(F.max("price").alias("maxprice"))
-        )
-
-    return q
-
-
-def make_hop_max(
-    dur: timedelta = timedelta(minutes=10), hopsize: timedelta = timedelta(minutes=5)
-) -> Callable:
-    """Listing 8: the hopping-window MAX."""
-
-    def q(spark: SparkSession, bid: DataFrame) -> DataFrame:
-        return (
-            hop(bid, "bidtime", dur, hopsize)
-            .groupBy("wstart", "wend")
-            .agg(F.max("price").alias("maxprice"))
-        )
-
-    return q
+SELECT DISTINCT P.id, P.name, P.wstart, P.wend
+FROM Tumble(
+    data    => TABLE(Person),
+    timecol => DESCRIPTOR(entrytime),
+    dur     => {_interval(dur)}) P
+  JOIN Tumble(
+    data    => TABLE(Auction),
+    timecol => DESCRIPTOR(atime),
+    dur     => {_interval(dur)}) A
+  ON P.id = A.seller AND P.wstart = A.wstart
+""".strip()

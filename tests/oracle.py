@@ -3,7 +3,8 @@
 ``assert_equivalent(result, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``result`` (the Spark
 result). This catches wrong results from a rewritten plan or a custom
-operator — "it ran" is not "it is correct".
+operator — "it ran" is not "it is correct". A query's DuckDB side is
+usually the twin ``tests/twins.py`` derives from the query's text.
 
 ``result`` and ``tables`` may be Spark or pandas DataFrames; Spark frames
 are collected via ``.toPandas()``. Alias every output column identically

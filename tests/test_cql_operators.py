@@ -7,7 +7,7 @@ import pytest
 
 from repro.cql.relations import TAU, range_slide_history
 from repro.nexmark import example as ex
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 t = ex.t
 TEN = timedelta(minutes=10)

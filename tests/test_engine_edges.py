@@ -16,12 +16,15 @@ from repro.core.windows import (
 from repro.cql import cql_q7
 from repro.nexmark import example as ex
 from repro.nexmark import generator as gen
+from repro.nexmark import queries as Q
+from repro.nexmark.example import LISTING_2_SQL
 from repro.nexmark.perf import hot_counts_query
-from repro.nexmark.queries import make_hop_max, make_q5, make_q7, make_q8, make_tumble_max
+from repro.nexmark.queries import make_q7
 from repro.sqlext import run_extended_sql
 from repro.sqlext.executor import sql_query_fn
-from tests.helpers import LISTING_2_SQL, snapshot_query
-from tests.test_engine_properties import q_union_count, split_bid_logs
+from tests.helpers import snapshot_query
+from tests.test_engine_properties import ITEM_COUNT_SQL, UNION_COUNT_SQL, split_bid_logs
+from tests.test_sqlext_exec import LISTING_6_SQL, LISTING_8_SQL
 
 t = ex.t
 
@@ -126,18 +129,17 @@ class TestWindowTags:
         auction = spark.createDataFrame([], "seller long, atime timestamp")
         tumble(bid, "bidtime", 600).createOrReplaceTempView("tagged_bid")
         shapes = {
-            "q7": lambda: make_q7()(spark, bid),
-            "q5": lambda: make_q5()(spark, bid),
-            "q8": lambda: make_q8()(spark, person, auction),
-            "tumble_max": lambda: make_tumble_max()(spark, bid),
-            "hop_max": lambda: make_hop_max()(spark, bid),
+            "q7": lambda: make_q7()(spark, bid=bid),
+            "q5": lambda: sql_query_fn(Q.q5_sql())(spark, bid=bid),
+            "q8": lambda: sql_query_fn(Q.q8_sql())(spark, person=person, auction=auction),
+            "listing_6": lambda: sql_query_fn(LISTING_6_SQL)(spark, Bid=bid),
+            "listing_8": lambda: sql_query_fn(LISTING_8_SQL)(spark, Bid=bid),
             "hot_counts": lambda: hot_counts_query(timedelta(minutes=10))(spark, bid),
             "distinct": lambda: tumble(bid, "bidtime", 600).select("wstart", "wend")
             .distinct(),
             "sql_view": lambda: spark.sql(
                 "SELECT wend, wstart, max(price) AS p FROM tagged_bid GROUP BY wstart, wend"
             ),
-            "listing_2_sql": lambda: sql_query_fn(LISTING_2_SQL)(spark, Bid=bid),
         }
         sc = spark.sparkContext
         sc.setJobGroup("window-tags", "schema reads only")
@@ -188,7 +190,7 @@ class TestOneJobPerRecompute:
         "hot_counts": lambda spark: run_query(
             spark, {"bid": ex.bid_log()}, hot_counts_query(timedelta(minutes=10))
         ),
-        "union": lambda spark: run_query(spark, split_bid_logs(), q_union_count),
+        "union": lambda spark: run_query(spark, split_bid_logs(), sql_query_fn(UNION_COUNT_SQL)),
     }
 
     @staticmethod
@@ -265,14 +267,7 @@ class TestDegenerateRuns:
         log.insert(t(8, 5), t(8, 1), 1, "X")
         log.insert(t(8, 5), t(8, 2), 2, None)
         log.watermark_to(t(8, 30), t(8, 20))
-
-        def q(spark_, bid):
-            return (
-                tumble(bid, "bidtime", timedelta(minutes=10))
-                .groupBy("wstart", "wend", "item")
-                .agg(F.count(F.lit(1)).alias("n"))
-            )
-
+        q = sql_query_fn(ITEM_COUNT_SQL)
         for emit in (
             EmitSpec(stream=True),
             EmitSpec(stream=True, after_watermark=True),

@@ -3,60 +3,59 @@ duality of the paper (§3.1) holds for the *whole engine*, not just the
 differ — replaying the emitted changelog at any processing time equals the
 snapshot query at that time (absent late data), for random out-of-order
 streams and several query shapes. With late data, the final table holds
-exactly the rows that arrived before their window closed (Extension 2)."""
+exactly the rows that arrived before their window closed (Extension 2).
+The query shapes are extended-SQL texts, which ``test_engine_vs_reference``
+also runs against the reference over their derived DuckDB twins."""
 import random
 from datetime import timedelta
 
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core import EmitSpec, run_query
 from repro.core.timeline import EventLog
-from repro.core.windows import tumble
 from repro.nexmark import example as ex
 from repro.nexmark.generator import bid_event_log
+from repro.sqlext.executor import sql_query_fn
 from tests.helpers import assert_pdf_equal, ptimes, snapshot_query
 
 t = ex.t
 TEN = timedelta(minutes=10)
 
 
-def q_count(spark, bid):
-    return (
-        tumble(bid, "bidtime", TEN)
-        .groupBy("wstart", "wend")
-        .agg(F.count(F.lit(1)).alias("n"))
-    )
+def tumbled(table: str = "bid") -> str:
+    """The dialect's 10-minute Tumble of ``table`` by ``bidtime``."""
+    return (f"Tumble(data => TABLE({table}), timecol => DESCRIPTOR(bidtime),"
+            " dur => INTERVAL '10' MINUTE)")
 
 
-def q_sum(spark, bid):
-    return (
-        tumble(bid, "bidtime", TEN)
-        .groupBy("wstart", "wend")
-        .agg(F.sum("price").alias("total"))
-    )
-
-
-def q_distinct_items(spark, bid):
-    return tumble(bid, "bidtime", TEN).select("wstart", "wend", "item").distinct()
-
-
-def q_last_minute_avg(spark, bid):
-    """Mean price of the bids in each window's last minute: NULL (NaN once
-    collected) while a window has none."""
-    w = tumble(bid, "bidtime", TEN)
-    last_minute = F.col("bidtime") >= F.col("wend") - F.expr("INTERVAL 1 MINUTE")
-    return w.groupBy("wstart", "wend").agg(
-        F.avg(F.when(last_minute, F.col("price"))).alias("last_minute_avg")
-    )
-
+COUNT_SQL = f"SELECT wstart, wend, count(*) AS n FROM {tumbled()} GROUP BY wstart, wend"
+ITEM_COUNT_SQL = (f"SELECT wstart, wend, item, count(*) AS n FROM {tumbled()}"
+                  " GROUP BY wstart, wend, item")
+# Spark sums a BIGINT as BIGINT, DuckDB as HUGEINT: the cast makes both BIGINT.
+SUM_SQL = (f"SELECT wstart, wend, CAST(sum(price) AS BIGINT) AS total FROM {tumbled()}"
+           " GROUP BY wstart, wend")
+DISTINCT_SQL = f"SELECT DISTINCT wstart, wend, item FROM {tumbled()}"
+# Mean price of the bids in each window's last minute: NULL (NaN once
+# collected) while a window has none.
+LAST_MINUTE_AVG_SQL = (
+    "SELECT wstart, wend, avg(CASE WHEN bidtime >= wend - INTERVAL '1' MINUTE"
+    f" THEN price END) AS last_minute_avg FROM {tumbled()} GROUP BY wstart, wend"
+)
+# Not monotone: a window's row vanishes once a bid of 5 or more arrives.
+MAX_BELOW_5_SQL = (f"SELECT wstart, wend, max(price) AS maxprice FROM {tumbled()}"
+                   " GROUP BY wstart, wend HAVING max(price) < 5")
+UNION_COUNT_SQL = (
+    "SELECT wstart, wend, count(*) AS n FROM"
+    f" (SELECT * FROM {tumbled('a')} UNION ALL SELECT * FROM {tumbled('b')}) ab"
+    " GROUP BY wstart, wend"
+)
 
 QUERIES = {
-    "count": q_count,
-    "sum": q_sum,
-    "distinct": q_distinct_items,
-    "last_minute_avg": q_last_minute_avg,
+    "count": COUNT_SQL,
+    "sum": SUM_SQL,
+    "distinct": DISTINCT_SQL,
+    "last_minute_avg": LAST_MINUTE_AVG_SQL,
 }
 
 
@@ -67,9 +66,10 @@ def test_duality_on_random_streams(spark, qname, seed):
         n=150, n_batches=6, seed=seed, duration=timedelta(minutes=45),
         n_auctions=10, max_delay=timedelta(minutes=3),
     )
-    r = run_query(spark, {"bid": log}, QUERIES[qname], emit=EmitSpec(stream=True))
+    query = sql_query_fn(QUERIES[qname])
+    r = run_query(spark, {"bid": log}, query, emit=EmitSpec(stream=True))
     for at in ptimes(log):
-        snap = snapshot_query(spark, {"bid": log}, QUERIES[qname], at=at)
+        snap = snapshot_query(spark, {"bid": log}, query, at=at)
         assert_pdf_equal(r.table(at=at), snap, ordered=False)
 
 
@@ -83,7 +83,8 @@ def test_watermark_gated_table_is_prefix_of_final(spark, seed):
         n_auctions=10, max_delay=timedelta(minutes=2),
     )
     r = run_query(
-        spark, {"bid": log}, q_count, emit=EmitSpec(stream=True, after_watermark=True),
+        spark, {"bid": log}, sql_query_fn(COUNT_SQL),
+        emit=EmitSpec(stream=True, after_watermark=True),
     )
     final = r.table()
     final_rows = set(map(tuple, final.itertuples(index=False, name=None)))
@@ -97,7 +98,7 @@ def test_changelog_integration_never_negative(spark):
     prefix of the changelog (well-formedness of the encoding)."""
     log = bid_event_log(n=150, n_batches=6, seed=55, n_auctions=5,
                         duration=timedelta(minutes=45))
-    r = run_query(spark, {"bid": log}, q_sum, emit=EmitSpec(stream=True))
+    r = run_query(spark, {"bid": log}, sql_query_fn(SUM_SQL), emit=EmitSpec(stream=True))
     for at in ptimes(log):
         r.table(at=at)  # raises inside integrate_changelog on violation
 
@@ -107,9 +108,10 @@ def test_delay_mode_final_state_equals_continuous(spark):
     fully-integrated table must equal the continuous-mode table."""
     log = bid_event_log(n=200, n_batches=8, seed=77, n_auctions=8,
                         duration=timedelta(minutes=50))
-    cont = run_query(spark, {"bid": log}, q_count, emit=EmitSpec(stream=True))
+    count = sql_query_fn(COUNT_SQL)
+    cont = run_query(spark, {"bid": log}, count, emit=EmitSpec(stream=True))
     delayed = run_query(
-        spark, {"bid": log}, q_count,
+        spark, {"bid": log}, count,
         emit=EmitSpec(stream=True, after_delay=timedelta(minutes=4)),
     )
     assert_pdf_equal(delayed.table(), cont.table(), ordered=False)
@@ -131,10 +133,6 @@ def split_bid_logs() -> dict:
     half2.watermark_to(t(8, 16), t(8, 12))
     half2.watermark_to(t(8, 21), t(8, 20))
     return {"a": half1, "b": half2}
-
-
-def q_union_count(spark, a, b):
-    return q_count(spark, a.unionByName(b))
 
 
 def _watermark_violating_log(seed: int) -> EventLog:
@@ -175,7 +173,7 @@ def test_late_rows_dropped_exactly(spark, seed, spec, lateness):
     integrates at every ptime of the run."""
     log = _watermark_violating_log(seed)
     emit = EmitSpec(allowed_lateness=timedelta(minutes=lateness), **spec)
-    r = run_query(spark, {"bid": log}, q_count, emit=emit)
+    r = run_query(spark, {"bid": log}, sql_query_fn(COUNT_SQL), emit=emit)
     rows = log.arrivals_pdf()
     wstart = rows["bidtime"].dt.floor(TEN)
     marks = [log.watermark().at(p - pd.Timedelta(1)) for p in rows["ptime"]]

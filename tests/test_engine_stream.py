@@ -7,8 +7,8 @@ import pytest
 from repro.core import EmitSpec, run_query
 from repro.nexmark import example as ex
 from repro.nexmark.queries import make_q7, q7_duckdb_sql
-from repro.oracle import assert_equivalent
 from tests.helpers import assert_pdf_equal, snapshot_query
+from tests.oracle import assert_equivalent
 
 t = ex.t
 

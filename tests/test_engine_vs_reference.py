@@ -8,10 +8,12 @@ back to the minimum). Six query shapes, among them a NULL-keyed count, a
 NaN average and a non-monotone ``HAVING max(price) < 5``, run under the four
 emit modes with allowed lateness 0 and 5 minutes.
 
-Most examples never start Spark: the per-step results of a query's DuckDB
-twin go both to the reference's EMIT half and, diffed as the change source
-diffs them, to ``engine._emit``. A few full runs then check the engine's
-Spark path end to end against the reference."""
+Each shape is one extended-SQL text: Spark runs it through the dialect
+front end, the reference runs the DuckDB twin derived from it
+(``tests/twins.py``). Most examples never start Spark: the per-step
+results of the twin go both to the reference's EMIT half and, diffed as
+the change source diffs them, to ``engine._emit``. A few full runs then
+check the engine's Spark path end to end against the reference."""
 from __future__ import annotations
 
 import random
@@ -21,22 +23,22 @@ import pandas as pd
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pyspark.sql import functions as F
 
 from repro.core import EmitSpec, run_query
 from repro.core import diff as D
 from repro.core.engine import _advances, _emit
 from repro.core.timeline import EventLog
-from repro.core.windows import tumble
 from repro.nexmark import example as ex
+from repro.sqlext.executor import sql_query_fn
 from tests import reference as R
 from tests.test_engine_properties import (
-    q_count, q_distinct_items, q_last_minute_avg, q_sum, q_union_count, split_bid_logs,
+    COUNT_SQL, DISTINCT_SQL, ITEM_COUNT_SQL, LAST_MINUTE_AVG_SQL, MAX_BELOW_5_SQL, SUM_SQL,
+    UNION_COUNT_SQL, split_bid_logs,
 )
+from tests.twins import twin
 
 T0 = pd.Timestamp("2023-01-01 08:00")
 MIN = pd.Timedelta(minutes=1)
-TEN = timedelta(minutes=10)
 
 EMITS = [
     EmitSpec(stream=True, allowed_lateness=timedelta(minutes=late), **spec)
@@ -73,69 +75,24 @@ def random_log(rng: random.Random) -> EventLog:
 LOGS = st.builds(random_log, st.randoms(use_true_random=False))
 
 
-def twin(select: str, source: str = "bid") -> str:
-    """DuckDB SQL: ``select`` over ``tb``, the 10-minute Tumble of ``source``."""
-    return f"""
-        WITH tb AS (
-            SELECT *, time_bucket(INTERVAL '10 minutes', bidtime) AS wstart,
-                   time_bucket(INTERVAL '10 minutes', bidtime) + INTERVAL '10 minutes' AS wend
-            FROM {source}
-        )
-        {select}"""
-
-
-def q_item_count(spark, bid):
-    return tumble(bid, "bidtime", TEN).groupBy("wstart", "wend", "item").agg(
-        F.count(F.lit(1)).alias("n")
-    )
-
-
-def q_max_below_5(spark, bid):
-    """Not monotone: a window's row vanishes once a bid of 5 or more arrives."""
-    return (
-        tumble(bid, "bidtime", TEN).groupBy("wstart", "wend")
-        .agg(F.max("price").alias("maxprice")).where("maxprice < 5")
-    )
-
-
 WINDOW = ["wstart", "wend"]
-COUNT_SQL = "SELECT wstart, wend, count(*) AS n FROM tb GROUP BY wstart, wend"
-# name -> (Spark query, DuckDB twin, key columns)
+# name -> (query text, key columns)
 QUERIES = {
-    "count": (q_count, twin(COUNT_SQL), WINDOW),
-    "item_count": (
-        q_item_count,
-        twin("SELECT wstart, wend, item, count(*) AS n FROM tb GROUP BY wstart, wend, item"),
-        WINDOW + ["item"],
-    ),
-    "sum": (
-        q_sum,
-        twin("SELECT wstart, wend, CAST(sum(price) AS BIGINT) AS total FROM tb"
-             " GROUP BY wstart, wend"),
-        WINDOW,
-    ),
-    "distinct": (q_distinct_items, twin("SELECT DISTINCT wstart, wend, item FROM tb"), WINDOW),
-    "last_minute_avg": (
-        q_last_minute_avg,
-        twin("SELECT wstart, wend, avg(CASE WHEN bidtime >= wend - INTERVAL 1 MINUTE"
-             " THEN price END) AS last_minute_avg FROM tb GROUP BY wstart, wend"),
-        WINDOW,
-    ),
-    "max_below_5": (
-        q_max_below_5,
-        twin("SELECT wstart, wend, max(price) AS maxprice FROM tb GROUP BY wstart, wend"
-             " HAVING max(price) < 5"),
-        WINDOW,
-    ),
+    "count": (COUNT_SQL, WINDOW),
+    "item_count": (ITEM_COUNT_SQL, WINDOW + ["item"]),
+    "sum": (SUM_SQL, WINDOW),
+    "distinct": (DISTINCT_SQL, WINDOW),
+    "last_minute_avg": (LAST_MINUTE_AVG_SQL, WINDOW),
+    "max_below_5": (MAX_BELOW_5_SQL, WINDOW),
 }
-UNION_SQL = twin(COUNT_SQL, source="(SELECT * FROM a UNION ALL SELECT * FROM b)")
 
 
 def assert_emit_matches(logs, sql, key) -> None:
-    """Under every emit mode, ``engine._emit`` over the twin's per-step
-    results, diffed against the previous step as the change source diffs
-    them, gives the reference's changelog entries and late-row count."""
-    columns, steps = R.query_results(logs, sql)
+    """Under every emit mode, ``engine._emit`` over the per-step results of
+    the text's DuckDB twin, diffed against the previous step as the change
+    source diffs them, gives the reference's changelog entries and late-row
+    count."""
+    columns, steps = R.query_results(logs, twin(sql))
     changes, prev = [], None
     for t, rows in steps:
         pdf = pd.DataFrame(rows, columns=columns, dtype=object)
@@ -157,14 +114,13 @@ def assert_emit_matches(logs, sql, key) -> None:
 # at 8:14, within the lateness (Ext 7).
 @example(log=random_log(random.Random(63)))
 def test_emit_equals_reference(name, log):
-    _, sql, key = QUERIES[name]
-    assert_emit_matches({"bid": log}, sql, key)
+    assert_emit_matches({"bid": log}, *QUERIES[name])
 
 
 @settings(max_examples=40, deadline=None)
 @given(a=LOGS, b=LOGS)
 def test_emit_equals_reference_two_inputs(a, b):
-    assert_emit_matches({"a": a, "b": b}, UNION_SQL, WINDOW)
+    assert_emit_matches({"a": a, "b": b}, UNION_COUNT_SQL, WINDOW)
 
 
 def entries_of(changelog: pd.DataFrame, key) -> list:
@@ -174,9 +130,10 @@ def entries_of(changelog: pd.DataFrame, key) -> list:
     return R.in_order(rows, list(changelog.columns[:-3]), key)
 
 
-def assert_run_matches(spark, logs, query, sql, key, emit) -> None:
-    got = run_query(spark, logs, query, emit=emit, key_cols=key)
-    want = R.run(logs, sql, key, "wend", emit)
+def assert_run_matches(spark, logs, sql, key, emit) -> None:
+    """The engine runs ``sql`` on Spark; the reference runs its DuckDB twin."""
+    got = run_query(spark, logs, sql_query_fn(sql), emit=emit, key_cols=key)
+    want = R.run(logs, twin(sql), key, "wend", emit)
     assert want.entries
     assert got.columns == want.columns
     assert entries_of(got.changelog, key) == want.entries
@@ -196,13 +153,13 @@ def rich_log(seed: int) -> EventLog:
 @pytest.mark.parametrize("i, name", enumerate(QUERIES))
 def test_run_equals_reference(spark, i, name):
     """One Spark run per query shape, each under its own emit mode."""
-    query, sql, key = QUERIES[name]
-    assert_run_matches(spark, {"bid": rich_log(74)}, query, sql, key, EMITS[i * 3 % len(EMITS)])
+    sql, key = QUERIES[name]
+    assert_run_matches(spark, {"bid": rich_log(74)}, sql, key, EMITS[i * 3 % len(EMITS)])
 
 
 def test_run_equals_reference_two_inputs(spark):
     logs = {"a": rich_log(17), "b": rich_log(195)}
-    assert_run_matches(spark, logs, q_union_count, UNION_SQL, WINDOW, EMITS[-1])
+    assert_run_matches(spark, logs, UNION_COUNT_SQL, WINDOW, EMITS[-1])
 
 
 def test_two_input_union_equals_reference(spark):
@@ -210,4 +167,4 @@ def test_two_input_union_equals_reference(spark):
     == the reference over the same logs: the TVR union respects the
     held-back watermark."""
     emit = EmitSpec(stream=True, after_watermark=True)
-    assert_run_matches(spark, split_bid_logs(), q_union_count, UNION_SQL, WINDOW, emit)
+    assert_run_matches(spark, split_bid_logs(), UNION_COUNT_SQL, WINDOW, emit)

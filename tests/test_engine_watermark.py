@@ -3,15 +3,15 @@ gating, late-data dropping, allowed lateness, and state release."""
 from datetime import timedelta
 
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core import EmitSpec, run_query
 from repro.core.timeline import EventLog
-from repro.core.windows import tumble
 from repro.nexmark import example as ex
 from repro.nexmark.perf import untag_wend
 from repro.nexmark.queries import make_q7
+from repro.sqlext.executor import sql_query_fn
 from tests.helpers import assert_pdf_equal
+from tests.test_engine_properties import COUNT_SQL, MAX_BELOW_5_SQL
 
 t = ex.t
 
@@ -133,12 +133,8 @@ class TestLateOnlyGroups:
 
     @staticmethod
     def _run(spark, emit):
-        def q_count(spark_, bid):
-            return tumble(bid, "bidtime", timedelta(minutes=10)).groupBy(
-                "wstart", "wend"
-            ).agg(F.count(F.lit(1)).alias("n"))
-
-        return run_query(spark, {"bid": TestLateOnlyGroups._log()}, q_count, emit=emit)
+        log = TestLateOnlyGroups._log()
+        return run_query(spark, {"bid": log}, sql_query_fn(COUNT_SQL), emit=emit)
 
     @pytest.mark.parametrize("after_watermark", [False, True])
     def test_dropped(self, spark, after_watermark):
@@ -211,13 +207,9 @@ class TestStateRelease:
         log.watermark_to(t(8, 15), t(8, 10))
         log.watermark_to(t(8, 22), t(8, 20))
 
-        def q_cheap(spark_, bid):
-            return tumble(bid, "bidtime", timedelta(minutes=10)).groupBy(
-                "wstart", "wend"
-            ).agg(F.max("price").alias("top")).where("top < 5")
-
         r = run_query(
-            spark, {"bid": log}, q_cheap, emit=EmitSpec(stream=True, after_watermark=True)
+            spark, {"bid": log}, sql_query_fn(MAX_BELOW_5_SQL),
+            emit=EmitSpec(stream=True, after_watermark=True),
         )
         assert list(r.changelog["wstart"]) == [t(8, 10)]
         assert list(r.changelog["ptime"]) == [t(8, 22)]

@@ -1,6 +1,6 @@
-"""NEXMark query suite: table-mode correctness against the DuckDB oracle
-on generated snapshots, the oracle's own failure modes, plus streaming
-behaviour spot checks."""
+"""NEXMark query suite: each query's text on Spark against the DuckDB twin
+derived from the same text (``tests/twins.py``) on generated snapshots, the
+oracle's own failure modes, plus streaming behaviour spot checks."""
 from datetime import timedelta
 
 import pytest
@@ -8,8 +8,11 @@ import pytest
 from repro.core import EmitSpec, run_query
 from repro.nexmark import generator as gen
 from repro.nexmark import queries as Q
-from repro.oracle import assert_equivalent
+from repro.nexmark.example import LISTING_2_SQL
+from repro.sqlext.executor import sql_query_fn
 from tests.helpers import assert_pdf_equal, snapshot_query
+from tests import twins
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -30,71 +33,73 @@ def auctions(spark):
     return spark.createDataFrame(pdf), pdf
 
 
+def run_sql(spark, sql, **tables):
+    """``sql`` over Spark's ``tables`` through the dialect front end."""
+    return sql_query_fn(sql)(spark, **tables)
+
+
+def assert_matches_twin(spark, sql, **tables):
+    """``sql`` on Spark equals its derived DuckDB twin on the same tables."""
+    got = run_sql(spark, sql, **{name: df for name, (df, _) in tables.items()})
+    assert_equivalent(got, twins.twin(sql), **{name: pdf for name, (_, pdf) in tables.items()})
+
+
 class TestQ1CurrencyConversion:
     def test_vs_oracle(self, spark, bids):
-        df, pdf = bids
-        assert_equivalent(Q.q1(spark, df), Q.Q1_DUCKDB, bid=pdf)
+        assert_matches_twin(spark, Q.Q1_SQL, bid=bids)
 
     def test_row_count_preserved(self, spark, bids):
         df, pdf = bids
-        assert Q.q1(spark, df).count() == len(pdf)
+        out = run_sql(spark, Q.Q1_SQL, bid=df)
+        assert out.count() == len(pdf)
+        assert dict(out.dtypes)["price_eur"] == "double"
 
 
 class TestQ2Selection:
     def test_vs_oracle(self, spark, bids):
-        df, pdf = bids
-        assert_equivalent(
-            Q.make_q2(123)(spark, df), Q.q2_duckdb_sql(123), bid=pdf
-        )
+        assert_matches_twin(spark, Q.q2_sql(123), bid=bids)
 
     def test_filter_is_subset(self, spark, bids):
         df, pdf = bids
-        out = Q.make_q2(7)(spark, df).toPandas()
+        out = run_sql(spark, Q.q2_sql(7), bid=df).toPandas()
         assert (out["item"] % 7 == 0).all()
 
 
 class TestQ3LocalItemSuggestion:
     def test_vs_oracle(self, spark, people, auctions):
-        pdf_p, pp = people
-        pdf_a, aa = auctions
-        got = Q.make_q3()(spark, pdf_a, pdf_p)
-        assert_equivalent(got, Q.q3_duckdb_sql(), auction=aa, person=pp)
+        assert_matches_twin(spark, Q.q3_sql(), auction=auctions, person=people)
 
     def test_filter_applied(self, spark, people, auctions):
         df_p, _ = people
         df_a, _ = auctions
-        out = Q.make_q3(category=10, states=("OR",))(spark, df_a, df_p).toPandas()
-        assert set(out["state"]) <= {"OR"}
+        out = run_sql(spark, Q.q3_sql(category=10, states=("OR",)), auction=df_a, person=df_p)
+        assert set(out.toPandas()["state"]) <= {"OR"}
 
 
 class TestQ5HotItems:
     def test_vs_oracle(self, spark, bids):
-        df, pdf = bids
-        got = Q.make_q5()(spark, df)
-        assert_equivalent(got, Q.q5_duckdb_sql(), bid=pdf)
+        assert_matches_twin(spark, Q.q5_sql(), bid=bids)
 
     def test_winner_has_window_max_count(self, spark, bids):
         df, _ = bids
-        out = Q.make_q5()(spark, df).toPandas()
+        out = run_sql(spark, Q.q5_sql(), bid=df).toPandas()
         per_window_max = out.groupby(["wstart", "wend"])["n_bids"].transform("max")
         assert (out["n_bids"] == per_window_max).all()
 
 
 class TestQ7HighestBid:
+    def test_ten_minute_text_is_listing_2(self):
+        assert Q.q7_sql(timedelta(minutes=10)) == LISTING_2_SQL
+
     def test_vs_oracle(self, spark, bids):
-        df, pdf = bids
-        got = Q.make_q7()(spark, df)
-        assert_equivalent(got, Q.q7_duckdb_sql(), bid=pdf)
+        assert_matches_twin(spark, Q.q7_sql(), bid=bids)
 
     def test_small_window_vs_oracle(self, spark, bids):
-        df, pdf = bids
-        dur = timedelta(minutes=2)
-        got = Q.make_q7(dur)(spark, df)
-        assert_equivalent(got, Q.q7_duckdb_sql(dur), bid=pdf)
+        assert_matches_twin(spark, Q.q7_sql(timedelta(minutes=2)), bid=bids)
 
     def test_winning_price_is_window_max(self, spark, bids):
         df, _ = bids
-        out = Q.make_q7()(spark, df).toPandas()
+        out = Q.make_q7()(spark, bid=df).toPandas()
         assert (
             out.groupby(["wstart", "wend"])["price"].transform("max") == out["price"]
         ).all()
@@ -102,16 +107,30 @@ class TestQ7HighestBid:
 
 class TestQ8NewUsers:
     def test_vs_oracle(self, spark, people, auctions):
-        df_p, pp = people
-        df_a, aa = auctions
-        got = Q.make_q8()(spark, df_p, df_a)
-        assert_equivalent(got, Q.q8_duckdb_sql(), person=pp, auction=aa)
+        assert_matches_twin(spark, Q.q8_sql(), person=people, auction=auctions)
 
     def test_distinct(self, spark, people, auctions):
         df_p, _ = people
         df_a, _ = auctions
-        out = Q.make_q8()(spark, df_p, df_a).toPandas()
+        out = run_sql(spark, Q.q8_sql(), person=df_p, auction=df_a).toPandas()
         assert len(out) == len(out.drop_duplicates())
+
+
+class TestTwinMutations:
+    """A wrong window binding in the twin deriver fails the comparisons
+    above, so they check each text against the paper's windows."""
+
+    def test_tumble_shifted_one_second_fails_q7(self, spark, bids, monkeypatch):
+        start = twins.tumble_start
+        monkeypatch.setattr(twins, "tumble_start", lambda call: f"{start(call)} + 1")
+        with pytest.raises(AssertionError):
+            assert_matches_twin(spark, Q.q7_sql(), bid=bids)
+
+    def test_hop_dropping_last_window_fails_q5(self, spark, bids, monkeypatch):
+        starts = twins.hop_starts
+        monkeypatch.setattr(twins, "hop_starts", lambda call: f"{starts(call)}[:-2]")
+        with pytest.raises(AssertionError):
+            assert_matches_twin(spark, Q.q5_sql(), bid=bids)
 
 
 class TestOracleFailureModes:
@@ -152,16 +171,16 @@ class TestStreamingQ8MultiInput:
         return run_query(
             spark,
             logs,
-            Q.make_q8(timedelta(minutes=20)),
+            sql_query_fn(Q.q8_sql(timedelta(minutes=20))),
             emit=EmitSpec(stream=True, after_watermark=True),
         ), (pp, aa), logs
 
     def test_final_table_matches_batch_answer(self, spark, run):
         r, (pp, aa), _ = run
-        batch = Q.make_q8(timedelta(minutes=20))(
-            spark,
-            spark.createDataFrame(pp.drop(columns=["ptime"])),
-            spark.createDataFrame(aa.drop(columns=["ptime"])),
+        batch = run_sql(
+            spark, Q.q8_sql(timedelta(minutes=20)),
+            person=spark.createDataFrame(pp.drop(columns=["ptime"])),
+            auction=spark.createDataFrame(aa.drop(columns=["ptime"])),
         ).toPandas()
         # Windows complete under the combined (held-back) watermark are
         # final; with both inputs fully consumed every window closed by

@@ -11,31 +11,32 @@ import pathlib
 
 import pytest
 
+FUNCTIONS = "pyspark.sql.functions"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 MODULES = [
     SRC / "core" / name for name in ("engine.py", "diff.py", "timeline.py", "windows.py")
 ] + sorted((SRC / "sqlext").glob("*.py"))
 
 
-def functions_imports(tree: ast.AST) -> list:
-    """Line numbers of imports of ``pyspark.sql.functions`` in ``tree``."""
+def imports_of(tree: ast.AST, module: str) -> list:
+    """Line numbers of the absolute imports of ``module`` or its submodules
+    in ``tree``."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             names = [f"{node.module}.{a.name}" for a in node.names] + [node.module]
         else:
             continue
-        if any(n == "pyspark.sql.functions" or n.startswith("pyspark.sql.functions.")
-               for n in names):
+        if any(n == module or n.startswith(module + ".") for n in names):
             lines.append(node.lineno)
     return lines
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_functions_import(path):
-    assert functions_imports(ast.parse(path.read_text())) == []
+    assert imports_of(ast.parse(path.read_text()), FUNCTIONS) == []
 
 
 def test_detector_sees_each_spelling():
@@ -46,5 +47,5 @@ def test_detector_sees_each_spelling():
         "from pyspark.sql.functions import col",
         "def f():\n    from pyspark.sql import functions",
     ):
-        assert functions_imports(ast.parse(src)), src
-    assert functions_imports(ast.parse("from pyspark.sql import DataFrame")) == []
+        assert imports_of(ast.parse(src), FUNCTIONS), src
+    assert imports_of(ast.parse("from pyspark.sql import DataFrame"), FUNCTIONS) == []

@@ -8,10 +8,50 @@ from pyspark.errors import AnalysisException
 
 from repro.core.windows import hop, tumble
 from repro.nexmark import example as ex
+from repro.nexmark.example import LISTING_2_SQL
 from repro.sqlext import run_extended_sql
-from tests.helpers import LISTING_2_SQL, assert_pdf_equal
+from tests.helpers import assert_pdf_equal
 
 t = ex.t
+
+LISTING_5_SQL = """
+SELECT wstart, wend, bidtime, price, item
+FROM Tumble(
+    data    => TABLE(Bid),
+    timecol => DESCRIPTOR(bidtime),
+    dur     => INTERVAL '10' MINUTES,
+    offset  => INTERVAL '0' MINUTES)
+""".strip()
+
+# Listings 6 and 8 GROUP BY wend alone, exactly as the paper writes them:
+# the rewriter's functional-dependency completion makes them valid SQL.
+LISTING_6_SQL = """
+SELECT TumbleBid.wstart, TumbleBid.wend, MAX(TumbleBid.price) maxprice
+FROM Tumble(
+    data    => TABLE(Bid),
+    timecol => DESCRIPTOR(bidtime),
+    dur     => INTERVAL '10' MINUTES) TumbleBid
+GROUP BY TumbleBid.wend
+""".strip()
+
+LISTING_7_SQL = """
+SELECT wstart, wend, bidtime, price, item
+FROM Hop(
+    data    => TABLE(Bid),
+    timecol => DESCRIPTOR(bidtime),
+    dur     => INTERVAL '10' MINUTES,
+    hopsize => INTERVAL '5' MINUTES)
+""".strip()
+
+LISTING_8_SQL = """
+SELECT HopBid.wstart, HopBid.wend, MAX(HopBid.price) maxprice
+FROM Hop(
+    data    => TABLE(Bid),
+    timecol => DESCRIPTOR(bidtime),
+    dur     => INTERVAL '10' MINUTES,
+    hopsize => INTERVAL '5' MINUTES) HopBid
+GROUP BY HopBid.wend
+""".strip()
 
 
 @pytest.fixture(scope="module")
@@ -63,54 +103,19 @@ class TestListing2Verbatim:
 
 class TestTvfOnlyQueries:
     def test_listing_5_tumble_select_star(self, spark, logs):
-        sql = """
-            SELECT wstart, wend, bidtime, price, item
-            FROM Tumble(
-                data    => TABLE(Bid),
-                timecol => DESCRIPTOR(bidtime),
-                dur     => INTERVAL '10' MINUTES,
-                offset  => INTERVAL '0' MINUTES)
-        """
-        r = run_extended_sql(spark, sql, logs)
+        r = run_extended_sql(spark, LISTING_5_SQL, logs)
         assert_pdf_equal(r.table(), ex.LISTING_5, ordered=False)
 
     def test_listing_6_tumble_group_by_wend(self, spark, logs):
-        # GROUP BY wend alone, exactly as the paper writes it — the
-        # rewriter's functional-dependency completion makes it valid SQL.
-        sql = """
-            SELECT TumbleBid.wstart, TumbleBid.wend, MAX(TumbleBid.price) maxprice
-            FROM Tumble(
-                data    => TABLE(Bid),
-                timecol => DESCRIPTOR(bidtime),
-                dur     => INTERVAL '10' MINUTES) TumbleBid
-            GROUP BY TumbleBid.wend
-        """
-        r = run_extended_sql(spark, sql, logs)
+        r = run_extended_sql(spark, LISTING_6_SQL, logs)
         assert_pdf_equal(r.table(), ex.LISTING_6, ordered=False)
 
     def test_listing_7_hop_select_star(self, spark, logs):
-        sql = """
-            SELECT wstart, wend, bidtime, price, item
-            FROM Hop(
-                data    => TABLE(Bid),
-                timecol => DESCRIPTOR(bidtime),
-                dur     => INTERVAL '10' MINUTES,
-                hopsize => INTERVAL '5' MINUTES)
-        """
-        r = run_extended_sql(spark, sql, logs)
+        r = run_extended_sql(spark, LISTING_7_SQL, logs)
         assert_pdf_equal(r.table(), ex.LISTING_7, ordered=False)
 
     def test_listing_8_hop_group_by(self, spark, logs):
-        sql = """
-            SELECT HopBid.wstart, HopBid.wend, MAX(HopBid.price) maxprice
-            FROM Hop(
-                data    => TABLE(Bid),
-                timecol => DESCRIPTOR(bidtime),
-                dur     => INTERVAL '10' MINUTES,
-                hopsize => INTERVAL '5' MINUTES) HopBid
-            GROUP BY HopBid.wend
-        """
-        r = run_extended_sql(spark, sql, logs)
+        r = run_extended_sql(spark, LISTING_8_SQL, logs)
         assert_pdf_equal(r.table(), ex.LISTING_8, ordered=False)
 
     def test_group_by_wend_only_projected(self, spark, logs):

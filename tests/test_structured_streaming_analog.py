@@ -19,7 +19,8 @@ from pyspark.sql import functions as F
 
 from repro.core import EmitSpec, run_query
 from repro.nexmark import example as ex
-from repro.nexmark.queries import make_tumble_max
+from repro.sqlext.executor import sql_query_fn
+from tests.test_sqlext_exec import LISTING_6_SQL
 
 t = ex.t
 
@@ -84,7 +85,7 @@ def engine_result(spark):
     return run_query(
         spark,
         {"bid": ex.bid_log()},
-        make_tumble_max(),
+        sql_query_fn(LISTING_6_SQL),
         emit=EmitSpec(stream=True, after_watermark=True),
     )
 

@@ -1,5 +1,6 @@
 """The Hop TVF (Extension 3): Listing 7/8 exactness, multiplicity and gap
-semantics, and the DuckDB oracle."""
+semantics, and the DuckDB oracle over twins derived from the dialect's
+texts (``tests/twins.py``)."""
 from datetime import timedelta
 
 import pytest
@@ -8,9 +9,12 @@ from pyspark.sql import functions as F
 from repro.core.windows import hop, tumble
 from repro.nexmark import example as ex
 from repro.nexmark.generator import bids_pdf
-from repro.nexmark.queries import q5_duckdb_sql
-from repro.oracle import assert_equivalent
+from repro.nexmark.queries import q5_sql
+from repro.sqlext.executor import sql_query_fn
 from tests.helpers import assert_pdf_equal, assert_same_tvf
+from tests.oracle import assert_equivalent
+from tests.test_sqlext_exec import LISTING_8_SQL
+from tests.twins import twin
 
 t = ex.t
 TEN = timedelta(minutes=10)
@@ -135,30 +139,10 @@ class TestOracle:
             .groupBy("wstart", "wend")
             .agg(F.max("price").alias("maxprice"))
         )
-        assert_equivalent(
-            got,
-            """
-            WITH hopped AS (
-                SELECT *, time_bucket(INTERVAL '10 minutes', bidtime) AS wstart
-                FROM bid
-                UNION ALL
-                SELECT *, time_bucket(INTERVAL '10 minutes',
-                                      bidtime - INTERVAL '5 minutes')
-                          + INTERVAL '5 minutes' AS wstart
-                FROM bid
-            )
-            SELECT wstart, wstart + INTERVAL '10 minutes' AS wend,
-                   MAX(price) AS maxprice
-            FROM hopped GROUP BY 1, 2
-            """,
-            bid=pdf.drop(columns=["ptime"]),
-        )
+        assert_equivalent(got, twin(LISTING_8_SQL), bid=pdf.drop(columns=["ptime"]))
 
     def test_q5_hot_items_vs_duckdb(self, spark, gen_df):
-        from repro.nexmark.queries import make_q5
-
         df, pdf = gen_df
-        got = make_q5(TEN, FIVE)(spark, df)
-        assert_equivalent(
-            got, q5_duckdb_sql(TEN, FIVE), bid=pdf.drop(columns=["ptime"])
-        )
+        sql = q5_sql(TEN, FIVE)
+        got = sql_query_fn(sql)(spark, bid=df)
+        assert_equivalent(got, twin(sql), bid=pdf.drop(columns=["ptime"]))

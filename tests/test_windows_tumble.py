@@ -1,5 +1,6 @@
 """The Tumble TVF (Extension 3): Listing 5/6 exactness, partitioning
-properties at scale, offset handling, and the DuckDB oracle."""
+properties at scale, offset handling, and the DuckDB oracle over twins
+derived from the dialect's texts (``tests/twins.py``)."""
 from datetime import timedelta
 
 import pandas as pd
@@ -9,8 +10,10 @@ from pyspark.sql import functions as F
 from repro.core.windows import tumble
 from repro.nexmark import example as ex
 from repro.nexmark.generator import bids_pdf
-from repro.oracle import assert_equivalent
 from tests.helpers import assert_pdf_equal, assert_same_tvf
+from tests.oracle import assert_equivalent
+from tests.test_sqlext_exec import LISTING_6_SQL
+from tests.twins import twin
 
 t = ex.t
 TEN = timedelta(minutes=10)
@@ -167,17 +170,7 @@ class TestOracle:
             .groupBy("wstart", "wend")
             .agg(F.max("price").alias("maxprice"))
         )
-        assert_equivalent(
-            got,
-            """
-            SELECT time_bucket(INTERVAL '10 minutes', bidtime) AS wstart,
-                   time_bucket(INTERVAL '10 minutes', bidtime)
-                       + INTERVAL '10 minutes' AS wend,
-                   MAX(price) AS maxprice
-            FROM bid GROUP BY 1, 2
-            """,
-            bid=pdf.drop(columns=["ptime"]),
-        )
+        assert_equivalent(got, twin(LISTING_6_SQL), bid=pdf.drop(columns=["ptime"]))
 
     def test_tumble_grouped_count_and_sum_vs_duckdb(self, spark, gen_df):
         df, pdf = gen_df
@@ -189,12 +182,10 @@ class TestOracle:
                 F.sum("price").alias("total"),
             )
         )
-        assert_equivalent(
-            got,
-            """
-            SELECT time_bucket(INTERVAL '5 minutes', bidtime) AS wstart,
-                   COUNT(*) AS n, SUM(price) AS total
-            FROM bid GROUP BY 1
-            """,
-            bid=pdf.drop(columns=["ptime"]),
-        )
+        sql = """
+            SELECT wstart, COUNT(*) AS n, SUM(price) AS total
+            FROM Tumble(data => TABLE(bid), timecol => DESCRIPTOR(bidtime),
+                        dur => INTERVAL '5' MINUTE)
+            GROUP BY wstart
+        """
+        assert_equivalent(got, twin(sql), bid=pdf.drop(columns=["ptime"]))
